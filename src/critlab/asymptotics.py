@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSpan, NotConverged
-from .grids import Grid, GridFunction, integrate, normalize_mass
+from .grids import Grid, GridFunction, mass, normalize_mass
 from .groundstate import GroundStateData
 from .params import surface_area
-from .potentials import LambdaConstant, PotentialSpec
-from .variational import FlowConfig, MinimizerResult, gradient_flow_minimize
+from .potentials import LambdaConstant, PotentialSpec, eval_potential
+from .variational import FlowConfig, MinimizerResult, gradient_flow_minimize, lagrange_multiplier
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,13 @@ def limit_profile(gs: GroundStateData, y) -> np.ndarray:
     return beta ** (gs.params.N / 2.0) * gs.q(beta * np.abs(y)) / math.sqrt(gs.l2_sq)
 
 
+def limit_profile_start(gs: GroundStateData, grid: Grid, eps: float) -> GridFunction:
+    """Unit-mass flow start eps^{-N/2} limit_profile(x / eps), floored positive."""
+    vals = eps ** (-gs.params.N / 2.0) * limit_profile(gs, grid.interior_nodes / eps)
+    floor = 1e-30 * max(float(np.max(vals)), 1e-30)
+    return normalize_mass(GridFunction(grid, np.maximum(vals, floor)))
+
+
 def rescale_minimizer(result: MinimizerResult, gs: GroundStateData):
     """Rescaled profile plus (L2, sup) distances to the concentration limit.
 
@@ -99,10 +106,7 @@ def default_gap_schedule(a_star: float, start_mult: float = 0.1, ratio: float = 
 
 def _reverify(res: MinimizerResult, params) -> None:
     """Re-check the per-record invariants (unit mass, multiplier identity)."""
-    from .grids import mass as grid_mass
-    from .variational import lagrange_multiplier
-
-    m = grid_mass(res.u)
+    m = mass(res.u)
     if abs(m - 1.0) > 1e-8:
         raise RuntimeError(f"sweep record lost unit mass: {m - 1.0:.3e}")
     mu = lagrange_multiplier(res.u, res.energy, params)
@@ -128,7 +132,11 @@ def run_sweep(
     cfg: FlowConfig = FlowConfig(),
     warm_start: bool = True,
 ) -> SweepResult:
-    """One minimization per scheduled interaction strength, warm-started."""
+    """One minimization per scheduled interaction strength, warm-started.
+
+    Ends early with ``aborted`` set, keeping the records so far, when a
+    solve does not converge or when, with V >= 0, a solve has energy <= 0.
+    """
     a_list = list(a_schedule)
     if any(a2 <= a1 for a1, a2 in zip(a_list, a_list[1:])):
         raise ValueError("a_schedule must be strictly increasing")
@@ -139,6 +147,7 @@ def run_sweep(
     result = SweepResult(records=records, a_star=gs.a_star)
     u_prev: GridFunction | None = None
     eps_prev = None
+    v_nonnegative = bool(np.all(eval_potential(spec, grid.nodes) >= 0.0))
 
     for a in a_list:
         gap = gs.a_star - a
@@ -146,16 +155,21 @@ def run_sweep(
         if warm_start and u_prev is not None:
             init = _transport_init(u_prev, eps_prev / eps_pred)
         else:
-            N = gs.params.N
-            vals = eps_pred ** (-N / 2.0) * limit_profile(gs, grid.interior_nodes / eps_pred)
-            floor = 1e-30 * max(float(np.max(vals)), 1e-30)
-            init = normalize_mass(GridFunction(grid, np.maximum(vals, floor)))
+            init = limit_profile_start(gs, grid, eps_pred)
         params = gs.params.with_a(a)
         try:
             res = gradient_flow_minimize(init, params, spec, cfg)
         except NotConverged as exc:
             result.aborted = True
             result.message = f"a = {a:.10g}: {exc}"
+            return result
+        if res.energy <= 0.0 and v_nonnegative:
+            # e(a) > 0 below a* when V >= 0: the grid does not resolve this gap
+            result.aborted = True
+            result.message = (
+                f"a = {a:.10g}: energy {res.energy:.6g} <= 0 at eps = {res.eps:.4g} "
+                f"with grid step h = {grid.h:.4g}; refine the grid"
+            )
             return result
         _reverify(res, params)
         _, (err_l2, err_sup) = rescale_minimizer(res, gs)

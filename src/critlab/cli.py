@@ -294,13 +294,9 @@ def _default_init(cfg, gs, grid, a):
     spec = _spec(cfg)
     if spec is not None and a < gs.a_star:
         lam = compute_lambda(spec, gs)
-        eps = asy.predicted_eps(gs.a_star - a, gs, lam)
-        vals = eps ** (-gs.params.N / 2.0) * asy.limit_profile(gs, grid.interior_nodes / eps)
-        vals = np.maximum(vals, 1e-30 * float(np.max(vals)))
-    else:
-        rng = np.random.default_rng(cfg["flow"]["seed"])
-        vals = rng.uniform(0.2, 1.0, grid.n_interior)
-    return normalize_mass(GridFunction(grid, vals))
+        return asy.limit_profile_start(gs, grid, asy.predicted_eps(gs.a_star - a, gs, lam))
+    rng = np.random.default_rng(cfg["flow"]["seed"])
+    return normalize_mass(GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior)))
 
 
 def cmd_minimize(cfg, args) -> int:
@@ -588,7 +584,7 @@ def cmd_verify_all(cfg, args) -> int:
     grid = build_grid(Interval(-8.0, 8.0), 1024)
     lam = compute_lambda(spec, gs)
     a = 0.5 * gs.a_star
-    initc = _default_init_for(gs, spec, grid, a, lam)
+    initc = asy.limit_profile_start(gs, grid, asy.predicted_eps(gs.a_star - a, gs, lam))
     resm = gradient_flow_minimize(initc, gs.params.with_a(a), spec, FlowConfig())
     mu_dev = abs(resm.mu - fit_multiplier(resm.u, gs.params.with_a(a), spec))
     checks.append(
@@ -601,13 +597,6 @@ def cmd_verify_all(cfg, args) -> int:
     arch.add_json("verify.json", {"n_checks": len(checks), "passed": int(sum(checks)), "ok": ok})
     write_outputs(arch, _out_dir(args, "verify-all"))
     return 0 if ok else 3
-
-
-def _default_init_for(gs, spec, grid, a, lam):
-    eps = asy.predicted_eps(gs.a_star - a, gs, lam)
-    vals = eps ** (-gs.params.N / 2.0) * asy.limit_profile(gs, grid.interior_nodes / eps)
-    vals = np.maximum(vals, 1e-30 * float(np.max(vals)))
-    return normalize_mass(GridFunction(grid, vals))
 
 
 _COMMANDS = {

@@ -9,13 +9,13 @@ Dirichlet form, so flows, energies and residuals share one discrete system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonIntegrableWeight, OriginOutside, ZeroFunction
 from .params import surface_area
-from .quadrature import cell_moments
+from .quadrature import cell_weight_integrals, hat_weights
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class Interval:
     def origin_distance(self) -> float:
         return min(-self.x_lo, self.x_hi)
 
-    @property
-    def measure(self) -> float:
-        return self.x_hi - self.x_lo
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -61,21 +57,19 @@ class Ball:
     def origin_distance(self) -> float:
         return self.radius
 
-    @property
-    def measure(self) -> float:
-        return surface_area(self.N) * self.radius**self.N / self.N
-
 
 Domain = Interval | Ball
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid over a domain with Dirichlet boundary flags."""
+    """Uniform grid over a domain; the boundary nodes carry the Dirichlet condition."""
 
     domain: Domain
     nodes: np.ndarray
     h: float
+    # read-only hat masses keyed by weight exponent; "kappa" and "stiffness"
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def is_ball(self) -> bool:
@@ -93,14 +87,6 @@ class Grid:
     @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[self.interior]
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.nodes.size, dtype=bool)
-        mask[-1] = True
-        if not self.is_ball:
-            mask[0] = True
-        return mask
 
 
 def build_grid(domain: Domain, resolution: int) -> Grid:
@@ -148,10 +134,6 @@ class GridFunction:
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
         return cls(grid, fn(grid.interior_nodes))
 
-    @classmethod
-    def from_full(cls, grid: Grid, full_values) -> "GridFunction":
-        return cls(grid, np.asarray(full_values, dtype=float)[grid.interior])
-
 
 # ----------------------------------------------------------------------
 # weights shared by quadrature, energies and flows
@@ -166,82 +148,106 @@ def check_weight_exponent(grid: Grid, weight_exponent: float) -> None:
         )
 
 
+def _memo(grid: Grid, key, build) -> np.ndarray:
+    """Per-grid cached array, built once and handed out read-only."""
+    arr = grid.cache.get(key)
+    if arr is None:
+        arr = build()
+        arr.flags.writeable = False
+        grid.cache[key] = arr
+    return arr
+
+
+def _interval_hat_masses(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Hat masses of an interval grid: one weighted P1 rule per half-line.
+
+    Each half-line is reflected onto [0, inf) and starts at a node at 0.
+    When 0 is not a grid node it is added as a virtual node, whose mass is
+    folded back into its two neighbours by linear interpolation.
+    """
+    k = int(np.searchsorted(x, 0.0))  # first node >= 0
+    virtual = bool(x[k] != 0.0)
+    if virtual:
+        pos, neg = np.concatenate(([0.0], x[k:])), np.concatenate((x[:k], [0.0]))
+    else:
+        pos, neg = x[k:], x[: k + 1]
+    wp = hat_weights(pos, alpha)
+    wn = hat_weights(-neg[::-1], alpha)[::-1]
+    m0 = wn[-1] + wp[0]  # mass of the node at 0
+    if not virtual:
+        return np.concatenate((wn[:-1], [m0], wp[1:]))
+    w = np.concatenate((wn[:-1], wp[1:]))
+    t0 = -x[k - 1] / (x[k] - x[k - 1])  # interpolation parameter of x = 0
+    w[k - 1] += m0 * (1.0 - t0)
+    w[k] += m0 * t0
+    return w
+
+
 def hat_masses(grid: Grid, weight_exponent: float) -> np.ndarray:
     """Per-node weights w with sum(w * z) = integral of |x|^alpha * interp(z).
 
     The linear interpolant of the nodal data z is integrated cell by cell
     against the weight in closed form near the origin; the result is the
-    full N-dimensional integral (sphere factor included for balls).
+    full N-dimensional integral (sphere factor included for balls).  Built
+    once per grid and exponent; the returned array is read-only.
     """
     check_weight_exponent(grid, weight_exponent)
-    x = grid.nodes
-    n = x.size
-    w = np.zeros(n)
+    alpha = float(weight_exponent)
     if grid.is_ball:
-        alpha = grid.domain.N - 1.0 + weight_exponent
-        M = cell_moments(x[:-1], x[1:], alpha, 1)
-        h = np.diff(x)
-        frac = M[:, 1] / h
-        w[:-1] += M[:, 0] - frac
-        w[1:] += frac
-        return surface_area(grid.domain.N) * w
-
-    # interval: reflect negative-x cells onto the positive axis
-    alpha = weight_exponent
-    lo, hi = x[:-1], x[1:]
-    h = hi - lo
-
-    pos = lo >= 0.0
-    if np.any(pos):
-        M = cell_moments(lo[pos], hi[pos], alpha, 1)
-        frac = M[:, 1] / h[pos]
-        idx = np.nonzero(pos)[0]
-        np.add.at(w, idx, M[:, 0] - frac)
-        np.add.at(w, idx + 1, frac)
-
-    neg = hi <= 0.0
-    if np.any(neg):
-        M = cell_moments(-hi[neg], -lo[neg], alpha, 1)
-        frac = M[:, 1] / h[neg]
-        idx = np.nonzero(neg)[0]
-        np.add.at(w, idx + 1, M[:, 0] - frac)
-        np.add.at(w, idx, frac)
-
-    strad = ~(pos | neg)
-    for i in np.nonzero(strad)[0]:
-        # cell straddles the origin: split there; the virtual node value
-        # is a convex combination of the endpoints
-        a_node, b_node = x[i], x[i + 1]
-        t0 = -a_node / (b_node - a_node)  # interpolation parameter of x = 0
-        c_i, c_ip = 1.0 - t0, t0
-        M = cell_moments(np.array([0.0]), np.array([b_node]), alpha, 1)[0]
-        frac = M[1] / b_node
-        w0 = M[0] - frac
-        w[i] += w0 * c_i
-        w[i + 1] += w0 * c_ip + frac
-        M = cell_moments(np.array([0.0]), np.array([-a_node]), alpha, 1)[0]
-        frac = M[1] / (-a_node)
-        w0 = M[0] - frac
-        w[i] += w0 * c_i + frac
-        w[i + 1] += w0 * c_ip
-    return w
+        N = grid.domain.N
+        return _memo(grid, alpha, lambda: surface_area(N) * hat_weights(grid.nodes, N - 1.0 + alpha))
+    return _memo(grid, alpha, lambda: _interval_hat_masses(grid.nodes, alpha))
 
 
 def kinetic_conductances(grid: Grid) -> np.ndarray:
     """Per-cell kappa with Dirichlet form K(u) = sum kappa * (u_{i+1} - u_i)^2."""
-    x = grid.nodes
-    h = np.diff(x)
-    if grid.is_ball:
-        nu = grid.domain.N - 1.0
-        meas = surface_area(grid.domain.N) * cell_moments(x[:-1], x[1:], nu, 0)[:, 0]
-    else:
-        meas = h.copy()
-    return meas / h**2
+
+    def build():
+        x = grid.nodes
+        h = np.diff(x)
+        if grid.is_ball:
+            return surface_area(grid.domain.N) * cell_weight_integrals(x, grid.domain.N - 1.0) / h**2
+        return h / h**2
+
+    return _memo(grid, "kappa", build)
+
+
+def stiffness_bands(grid: Grid) -> np.ndarray:
+    """P1 stiffness K on interior nodes in upper banded storage.
+
+    Row 1 is the diagonal; row 0 holds the off-diagonal from column 1 on.
+    """
+
+    def build():
+        kappa = kinetic_conductances(grid)
+        lo, hi = grid.interior.start, grid.interior.stop
+        diag = np.zeros(grid.nodes.size)
+        diag[:-1] += kappa
+        diag[1:] += kappa
+        return np.stack((np.append(0.0, -kappa[lo : hi - 1]), diag[lo:hi]))
+
+    return _memo(grid, "stiffness", build)
+
+
+def apply_stiffness(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """K u for interior nodal values u: the one P1 stiffness of the package."""
+    ab = stiffness_bands(grid)
+    off = ab[0, 1:]
+    out = ab[1] * u
+    out[:-1] += off * u[1:]
+    out[1:] += off * u[:-1]
+    return out
 
 
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product without BLAS, whose threads contend on long vectors
+    when the cores are shared."""
+    return float(np.einsum("i,i->", x, y))
+
 
 def integrate_nodal(grid: Grid, full_values, weight_exponent: float = 0.0) -> float:
     """Quadrature of arbitrary nodal data on the closed domain.
@@ -250,8 +256,7 @@ def integrate_nodal(grid: Grid, full_values, weight_exponent: float = 0.0) -> fl
     constant 1 integrates exactly to |Omega| (weight 0) or to the closed
     forms of the weighted volume.
     """
-    w = hat_masses(grid, weight_exponent)
-    return float(np.dot(w, np.asarray(full_values, dtype=float)))
+    return _dot(hat_masses(grid, weight_exponent), np.asarray(full_values, dtype=float))
 
 
 def integrate(g: GridFunction, weight_exponent: float = 0.0) -> float:
@@ -276,25 +281,17 @@ def normalize_mass(g: GridFunction) -> GridFunction:
 
 
 def dirichlet_form(g: GridFunction) -> float:
-    """Kinetic integral of |grad g|^2 (P1 Dirichlet form)."""
-    kappa = kinetic_conductances(g.grid)
-    return float(np.sum(kappa * np.diff(g.full()) ** 2))
+    """Kinetic integral of |grad g|^2 (P1 Dirichlet form u . K u)."""
+    return _dot(apply_stiffness(g.grid, g.values), g.values)
 
 
 def apply_dirichlet_laplacian(g: GridFunction) -> GridFunction:
     """Negative Laplacian of g with Dirichlet rows eliminated.
 
-    Weak (lumped P1) realization: (-Lap u)_i = F_i / m_i with F the
-    conservative fluxes and m the unweighted hat masses; in radial
-    reduction this is -(u'' + (N-1)/r u') with the r = 0 node closed by
-    the regularity condition.
+    Weak (lumped P1) realization: (-Lap u)_i = (K u)_i / m_i with K the
+    stiffness and m the unweighted hat masses; in radial reduction this is
+    -(u'' + (N-1)/r u') with the r = 0 node closed by the regularity
+    condition.
     """
-    kappa = kinetic_conductances(g.grid)
-    full = g.full()
-    d = np.diff(full)
-    flux = np.zeros_like(full)
-    flux[:-1] += kappa * -d
-    flux[1:] += kappa * d
-    m = hat_masses(g.grid, 0.0)
-    nodal = flux / m
-    return g.with_values(nodal[g.grid.interior])
+    grid = g.grid
+    return g.with_values(apply_stiffness(grid, g.values) / hat_masses(grid, 0.0)[grid.interior])

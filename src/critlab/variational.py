@@ -1,14 +1,15 @@
 """Energy functional, constrained gradient flow and trial-function machinery.
 
-The discrete energy uses exactly the same hat-mass quadrature and P1
-Dirichlet form as `grids`, so the flow's fixed point satisfies the discrete
-Euler-Lagrange system to machine precision and the reported multiplier
-identity closes by construction.
+One discrete system (`_System`) sums the energy, the multiplier and the
+stationarity defect from the grid's memoized hat masses and P1 stiffness;
+the flow, the public energy functions and the result scalars all evaluate
+through it, so the flow's fixed point satisfies the discrete Euler-Lagrange
+system to machine precision and the reported multiplier identity closes by
+construction.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,13 +26,13 @@ from .errors import (
 from .grids import (
     Grid,
     GridFunction,
-    apply_dirichlet_laplacian,
+    _dot,
+    apply_stiffness,
     dirichlet_form,
     hat_masses,
     integrate,
-    kinetic_conductances,
-    mass,
     normalize_mass,
+    stiffness_bands,
 )
 from .groundstate import GroundStateData, _exp_tail_integral, _startup_cell_integrals
 from .params import GNParams, surface_area
@@ -60,6 +61,71 @@ def sample_potential(spec: PotentialSpec | None, grid: Grid) -> np.ndarray:
     return eval_potential(spec, grid.interior_nodes)
 
 
+class _System:
+    """The discrete problem on one grid: the only place its terms are summed.
+
+    Holds the grid's memoized hat masses W (weight 1) and Wb (weight
+    |x|^-b) on interior nodes and the sampled potential V; the P1 stiffness
+    K comes from the grid.  The flow, the energies, the multiplier and the
+    stationarity defect all evaluate through these methods.
+    """
+
+    def __init__(self, grid: Grid, params: GNParams, spec: PotentialSpec | None):
+        self.grid = grid
+        self.params = params
+        self.W = hat_masses(grid, 0.0)[grid.interior]
+        self.Wb = hat_masses(grid, -params.b)[grid.interior]
+        self.V = sample_potential(spec, grid)
+        self.WV = self.W * self.V
+        self.aWb = params.a * self.Wb
+        self.power = params.nonlinear_power
+        bs = params.beta_sq
+        self.c_energy = params.a / (1.0 + bs)
+        self.c_mu = params.a * bs / (1.0 + bs)
+
+    def mass(self, u) -> float:
+        return _dot(self.W, u * u)
+
+    def interaction(self, u) -> float:
+        """Weighted interaction integral of |u|^{2+2 beta^2}."""
+        return _dot(self.Wb, np.abs(u) ** self.power)
+
+    def energy(self, u) -> tuple[EnergyBreakdown, float]:
+        """Energy split of nodal values u, and their interaction integral."""
+        kin = _dot(apply_stiffness(self.grid, u), u)
+        pot = _dot(self.WV, u * u)
+        nl = self.interaction(u)
+        nonlinear = self.c_energy * nl
+        return EnergyBreakdown(kin, pot, nonlinear, kin + pot - nonlinear), nl
+
+    def multiplier(self, energy: float, nl: float) -> float:
+        """Energy identity mu = e - a beta^2/(1+beta^2) * NL."""
+        return energy - self.c_mu * nl
+
+    def defect(self, u) -> np.ndarray:
+        """Nodal defect K u / W + V u - a (Wb / W) |u|^{2 beta^2} u without the mu term."""
+        sing = self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq) * u
+        return (apply_stiffness(self.grid, u) - sing) / self.W + self.V * u
+
+    def fit_multiplier(self, u) -> float:
+        """Multiplier minimizing the weighted L2 norm of the stationarity defect."""
+        return _dot(self.W * self.defect(u), u) / _dot(self.W * u, u)
+
+    def residual(self, u, mu: float) -> float:
+        """Sup-norm of the stationarity defect at multiplier mu."""
+        return float(np.max(np.abs(self.defect(u) - mu * u)))
+
+    def flow_rhs(self, u, dt: float, mu: float) -> np.ndarray:
+        """Right-hand side W (u / dt - V u + mu u) + a Wb u^{1+2 beta^2} of a flow step."""
+        return u * (self.W * (1.0 / dt + mu) - self.WV) + self.aWb * u ** (self.power - 1.0)
+
+    def factor(self, dt):
+        """Banded Cholesky factor of K + W / dt."""
+        ab = stiffness_bands(self.grid).copy()
+        ab[1] += self.W / dt
+        return cholesky_banded(ab, lower=False)
+
+
 def evaluate_energy(
     u: GridFunction,
     params: GNParams,
@@ -67,63 +133,43 @@ def evaluate_energy(
     mass_tol: float = 1e-3,
 ) -> EnergyBreakdown:
     """Evaluate the functional on a unit-mass grid function."""
-    m = mass(u)
+    sys_ = _System(u.grid, params, spec)
+    m = sys_.mass(u.values)
     if abs(m - 1.0) > mass_tol:
         raise MassViolation(f"|mass - 1| = {abs(m - 1.0):.3g} exceeds {mass_tol}")
-    kin = dirichlet_form(u)
-    v = sample_potential(spec, u.grid)
-    pot = integrate(u.with_values(v * u.values**2), 0.0)
-    power = params.nonlinear_power
-    nl_int = integrate(u.with_values(np.abs(u.values) ** power), -params.b)
-    nonlinear = params.a / (1.0 + params.beta_sq) * nl_int
-    return EnergyBreakdown(kin, pot, nonlinear, kin + pot - nonlinear)
+    return sys_.energy(u.values)[0]
 
 
 def nonlinear_integral(u: GridFunction, params: GNParams) -> float:
     """Weighted interaction integral of |u|^{2+2 beta^2}."""
-    return integrate(
-        u.with_values(np.abs(u.values) ** params.nonlinear_power), -params.b
-    )
+    return _System(u.grid, params, None).interaction(u.values)
 
 
 def gn_quotient(u: GridFunction, params: GNParams) -> float:
     """Kinetic * mass^{beta^2} / weighted interaction integral."""
-    m = mass(u)
+    sys_ = _System(u.grid, params, None)
+    m = sys_.mass(u.values)
     if m <= 0.0:
         raise ZeroFunction("quotient undefined for the zero function")
-    return dirichlet_form(u) * m**params.beta_sq / nonlinear_integral(u, params)
+    return dirichlet_form(u) * m**params.beta_sq / sys_.interaction(u.values)
 
 
 def lagrange_multiplier(u: GridFunction, energy: float, params: GNParams) -> float:
     """Multiplier from the energy identity mu = e - a beta^2/(1+beta^2) * NL."""
-    return energy - params.a * params.beta_sq / (1.0 + params.beta_sq) * nonlinear_integral(u, params)
-
-
-def _el_defect(u: GridFunction, params: GNParams, spec: PotentialSpec | None) -> np.ndarray:
-    """Nodal defect -Lap u + V u - a w_b u^{1+2b^2} without the mu term."""
-    grid = u.grid
-    lap = apply_dirichlet_laplacian(u).values
-    v = sample_potential(spec, grid)
-    w0 = hat_masses(grid, 0.0)[grid.interior]
-    wb = hat_masses(grid, -params.b)[grid.interior]
-    sing = wb / w0
-    uu = u.values
-    return lap + v * uu - params.a * sing * np.abs(uu) ** (2.0 * params.beta_sq) * uu
+    sys_ = _System(u.grid, params, None)
+    return sys_.multiplier(energy, sys_.interaction(u.values))
 
 
 def euler_lagrange_residual(
     u: GridFunction, mu: float, params: GNParams, spec: PotentialSpec | None = None
 ) -> float:
     """Sup-norm of the stationarity defect at multiplier mu."""
-    return float(np.max(np.abs(_el_defect(u, params, spec) - mu * u.values)))
+    return _System(u.grid, params, spec).residual(u.values, mu)
 
 
 def fit_multiplier(u: GridFunction, params: GNParams, spec: PotentialSpec | None = None) -> float:
     """Multiplier minimizing the weighted L2 norm of the stationarity defect."""
-    grid = u.grid
-    w0 = hat_masses(grid, 0.0)[grid.interior]
-    r0 = _el_defect(u, params, spec)
-    return float(np.dot(w0 * r0, u.values) / np.dot(w0 * u.values, u.values))
+    return _System(u.grid, params, spec).fit_multiplier(u.values)
 
 
 # ----------------------------------------------------------------------
@@ -303,49 +349,6 @@ class MinimizerResult:
     kinetic_trace: list = field(default_factory=list)
 
 
-class _FlowSystem:
-    """Precomputed discrete system shared by the flow steps."""
-
-    def __init__(self, grid: Grid, params: GNParams, spec: PotentialSpec | None):
-        self.grid = grid
-        self.params = params
-        kappa = kinetic_conductances(grid)
-        n_nodes = grid.nodes.size
-        lo = grid.interior.start
-        hi = grid.interior.stop
-        diag = np.zeros(n_nodes)
-        diag[:-1] += kappa
-        diag[1:] += kappa
-        self.diag_K = diag[lo:hi]
-        self.off_K = -kappa[lo : hi - 1]
-        self.W = hat_masses(grid, 0.0)[grid.interior]
-        self.Wb = hat_masses(grid, -params.b)[grid.interior]
-        self.V = sample_potential(spec, grid)
-        self.power = params.nonlinear_power
-
-    def apply_K(self, u):
-        out = self.diag_K * u
-        out[:-1] += self.off_K * u[1:]
-        out[1:] += self.off_K * u[:-1]
-        return out
-
-    def factor(self, dt):
-        ab = np.zeros((2, self.diag_K.size))
-        ab[0, 1:] = self.off_K
-        ab[1, :] = self.diag_K + self.W / dt
-        return cholesky_banded(ab, lower=False)
-
-    def functionals(self, u):
-        """(energy, kinetic, muR, nl_int) of a unit-mass iterate."""
-        a, bs = self.params.a, self.params.beta_sq
-        kin = float(np.dot(self.apply_K(u), u))
-        pot = float(np.dot(self.W, self.V * u * u))
-        nl = float(np.dot(self.Wb, u**self.power))
-        energy = kin + pot - a / (1.0 + bs) * nl
-        mu_r = kin + pot - a * nl
-        return energy, kin, mu_r, nl
-
-
 def gradient_flow_minimize(
     init: GridFunction,
     params: GNParams,
@@ -363,13 +366,13 @@ def gradient_flow_minimize(
         raise ValueError("gradient flow requires a nonnegative, nonzero initial function")
     # zeros in the init (for example beyond a cutoff) are gone after one
     # implicit step: the inverse of the M-matrix is entrywise positive
-    sys_ = _FlowSystem(init.grid, params, spec)
-    a = params.a
-    u = init.values / math.sqrt(float(np.dot(sys_.W, init.values**2)))
+    sys_ = _System(init.grid, params, spec)
+    u = init.values / math.sqrt(sys_.mass(init.values))
 
     dt = cfg.dt
     fact = sys_.factor(dt)
-    energy_prev, kin, mu_r, _ = sys_.functionals(u)
+    eb, nl = sys_.energy(u)
+    energy_prev, mu_r = eb.total, sys_.multiplier(eb.total, nl)
     traces_e: list = []
     traces_k: list = []
     iterations = 0
@@ -377,8 +380,7 @@ def gradient_flow_minimize(
     clean_steps = 0
 
     while iterations < cfg.max_iters:
-        rhs = sys_.W * (u / dt - sys_.V * u + mu_r * u) + a * sys_.Wb * u ** (sys_.power - 1.0)
-        u_star = cho_solve_banded((fact, False), rhs)
+        u_star = cho_solve_banded((fact, False), sys_.flow_rhs(u, dt, mu_r))
         if np.any(u_star <= 0.0):
             if dt <= cfg.dt_min:
                 raise NonPositive(
@@ -388,8 +390,9 @@ def gradient_flow_minimize(
             fact = sys_.factor(dt)
             clean_steps = 0
             continue
-        u_new = u_star / math.sqrt(float(np.dot(sys_.W, u_star**2)))
-        energy_new, kin, mu_r_new, _ = sys_.functionals(u_new)
+        u_new = u_star / math.sqrt(sys_.mass(u_star))
+        eb, nl = sys_.energy(u_new)
+        energy_new = eb.total
 
         if cfg.probe_mode and energy_new < cfg.energy_floor:
             raise EnergyDiverged(
@@ -407,10 +410,10 @@ def gradient_flow_minimize(
         delta = float(np.max(np.abs(u_new - u))) / dt
         u = u_new
         energy_prev = energy_new
-        mu_r = mu_r_new
+        mu_r = sys_.multiplier(energy_new, nl)
         if cfg.record_energy and iterations % cfg.record_stride == 0:
             traces_e.append(energy_new)
-            traces_k.append(kin)
+            traces_k.append(eb.kinetic)
         if delta < cfg.tol:
             converged = True
             break
@@ -420,7 +423,7 @@ def gradient_flow_minimize(
             fact = sys_.factor(dt)
             clean_steps = 0
 
-    result = _build_result(u, init.grid, params, spec, iterations, converged)
+    result = _build_result(u, sys_, iterations, converged)
     result.energy_trace = traces_e
     result.kinetic_trace = traces_k
     if not converged:
@@ -431,21 +434,17 @@ def gradient_flow_minimize(
     return result
 
 
-def _build_result(u_vals, grid, params, spec, iterations, converged) -> MinimizerResult:
-    u = GridFunction(grid, u_vals)
-    eb = evaluate_energy(u, params, spec, mass_tol=1e-6)
-    mu = lagrange_multiplier(u, eb.total, params)
-    mu_f = fit_multiplier(u, params, spec)
-    eps = 1.0 / math.sqrt(eb.kinetic)
-    resid = euler_lagrange_residual(u, mu_f, params, spec)
+def _build_result(u_vals, sys_: _System, iterations, converged) -> MinimizerResult:
+    eb, nl = sys_.energy(u_vals)
+    mu_f = sys_.fit_multiplier(u_vals)
     return MinimizerResult(
-        u=u,
+        u=GridFunction(sys_.grid, u_vals),
         energy=eb.total,
-        mu=mu,
-        eps=eps,
+        mu=sys_.multiplier(eb.total, nl),
+        eps=1.0 / math.sqrt(eb.kinetic),
         iterations=iterations,
         converged=converged,
-        residual=resid,
+        residual=sys_.residual(u_vals, mu_f),
         breakdown=eb,
         mu_fit=mu_f,
     )
@@ -518,28 +517,23 @@ def multistart_uniqueness(
     cfg: FlowConfig = FlowConfig(),
     n_workers: int = 4,
 ) -> UniquenessReport:
-    """Run the flow from independent random positive starts and compare."""
+    """Run the flow from independent random positive starts and compare.
+
+    The starts run one after another; ``n_workers`` is accepted for
+    compatibility and has no effect.
+    """
     if n_starts < 3:
         raise ValueError("need at least 3 starts for a meaningful comparison")
-    seeds = np.random.SeedSequence(seed).spawn(n_starts)
-
-    def one(k):
-        rng = np.random.default_rng(seeds[k])
-        init = GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior))
-        return gradient_flow_minimize(init, params, spec, cfg)
-
-    results: dict[int, MinimizerResult] = {}
+    ulist: list[MinimizerResult] = []
     failures: list[str] = []
-    with ThreadPoolExecutor(max_workers=min(n_workers, n_starts)) as ex:
-        futs = {ex.submit(one, k): k for k in range(n_starts)}
-        for fut in as_completed(futs):
-            k = futs[fut]
-            try:
-                results[k] = fut.result()
-            except NotConverged as exc:
-                failures.append(f"start {k}: {exc}")
+    for k, start_seed in enumerate(np.random.SeedSequence(seed).spawn(n_starts)):
+        rng = np.random.default_rng(start_seed)
+        init = GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior))
+        try:
+            ulist.append(gradient_flow_minimize(init, params, spec, cfg))
+        except NotConverged as exc:
+            failures.append(f"start {k}: {exc}")
 
-    ulist = [results[k] for k in sorted(results)]
     max_l2 = 0.0
     max_sup = 0.0
     for i in range(len(ulist)):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from critlab import (
+    Ball,
     FlowConfig,
     GridFunction,
     InsufficientSpan,
@@ -39,6 +40,19 @@ def mini_sweep(gs105):
     sched = default_gap_schedule(gs105.a_star, 0.2, 0.5, 5)
     sw = run_sweep(sched, gs105, spec, grid, lam, FlowConfig(tol=1e-9))
     return sw, lam
+
+
+def test_sweep_aborts_on_unresolved_negative_energy(gs205):
+    # h = 8 / 2048 cannot resolve the tightest default gap in 2-D: the flow
+    # converges to energy -7.8e4, which is impossible below a* with V >= 0
+    spec = PotentialSpec(p0=2.0)
+    lam = compute_lambda(spec, gs205)
+    grid = build_grid(Ball(2, 8.0), 2048)
+    sw = run_sweep(default_gap_schedule(gs205.a_star), gs205, spec, grid, lam)
+    assert sw.aborted
+    assert len(sw.records) == 7
+    assert all(r.energy > 0.0 for r in sw.records)
+    assert "energy" in sw.message and "h = " in sw.message
 
 
 def test_sweep_structure_and_trends(mini_sweep, gs105):

@@ -82,6 +82,16 @@ def test_laplacian_symmetric_positive():
     assert dirichlet_form(u) > 0.0
 
 
+def test_hat_masses_built_once_read_only():
+    g = build_grid(Interval(-1.0, 3.0), 257)
+    w = hat_masses(g, -0.5)
+    assert hat_masses(g, -0.5) is w
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    with pytest.raises(NonIntegrableWeight):
+        hat_masses(g, -1.0)
+
+
 def test_weighted_integrals_closed_forms():
     g = build_grid(Interval(-1.0, 1.0), 256)
     ones = np.ones(g.nodes.size)

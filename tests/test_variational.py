@@ -156,6 +156,22 @@ def test_multiplier_formula_vs_fit(gs105):
     assert res.residual < 1e-6
 
 
+def test_result_scalars_match_public_functions(gs105):
+    # the flow's result and the public functions evaluate one discrete system
+    grid = build_grid(Interval(-8.0, 8.0), 1024)
+    spec = PotentialSpec(p0=2.0)
+    params = gs105.params.with_a(0.5 * gs105.a_star)
+    init = normalize_mass(GridFunction.from_callable(grid, lambda x: np.exp(-(x**2))))
+    res = gradient_flow_minimize(init, params, spec, FlowConfig())
+    assert res.converged
+    eb = evaluate_energy(res.u, params, spec)
+    assert res.energy == pytest.approx(eb.total, rel=1e-14, abs=0.0)
+    assert res.breakdown.kinetic == pytest.approx(dirichlet_form(res.u), rel=1e-14, abs=0.0)
+    assert res.mu == pytest.approx(lagrange_multiplier(res.u, res.energy, params), rel=1e-14, abs=0.0)
+    assert res.mu_fit == pytest.approx(fit_multiplier(res.u, params, spec), rel=1e-14, abs=0.0)
+    assert res.residual == euler_lagrange_residual(res.u, res.mu_fit, params, spec)
+
+
 # ----------------------------------------------------------------------
 # trial functions
 # ----------------------------------------------------------------------
