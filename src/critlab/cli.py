@@ -92,11 +92,11 @@ _SCHEMA = {
         "identity_tol": (float, "1e-6"),
     },
     "flow": {
-        "dt": (float, "1e-2"),
-        "tol": (float, "1e-9"),
-        "max_iters": (int, "400000"),
-        "dt_max": (float, "0.25"),
-        "probe_floor": (float, "-1e3"),
+        "dt": (float, repr(FlowConfig.dt)),
+        "tol": (float, repr(FlowConfig.tol)),
+        "max_iters": (int, repr(FlowConfig.max_iters)),
+        "dt_max": (float, repr(FlowConfig.dt_max)),
+        "probe_floor": (float, repr(FlowConfig.energy_floor)),
         "seed": (int, "12345"),
     },
     "sweep": {

@@ -63,7 +63,10 @@ Domain = Interval | Ball
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid over a domain; the boundary nodes carry the Dirichlet condition."""
+    """Grid over a domain; the boundary nodes carry the Dirichlet condition.
+
+    ``build_grid`` makes uniform grids; nothing here assumes equal spacing.
+    """
 
     domain: Domain
     nodes: np.ndarray

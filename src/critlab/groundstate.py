@@ -17,8 +17,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import BracketFailure, IterationStall, SingularStartup, TailUnresolved
+from .grids import Ball, Grid, _dot, hat_masses, kinetic_conductances, stiffness_bands
 from .params import GNParams, surface_area
-from .quadrature import hat_weights, hermite_coeffs, integrate_cells
+from .quadrature import hermite_coeffs, integrate_cells
 
 # graded startup steps grow by (1 + _GRADING_PER_H * h) per step: the zone's
 # march error scales like (ratio - 1)^4, so tying the ratio to the uniform
@@ -26,6 +27,10 @@ from .quadrature import hat_weights, hermite_coeffs, integrate_cells
 _GRADING_PER_H = 2.73
 _GRADING_CAP = 0.08
 _TAIL_SWITCH_BASE = 3e-6  # switch to the matched tail once q/s falls below this
+_S_GUESS = 1.0  # central amplitude the shooting bracket starts from
+_MOMENT_REL_TOL = 1e-6  # largest truncated-tail share of a moment
+_PROBE_MAX_ITERS = 60
+_PROBE_TOL = 1e-11  # relative change of the Rayleigh quotient at convergence
 
 
 # ----------------------------------------------------------------------
@@ -57,12 +62,13 @@ def startup_eval(N: int, b: float, s: float, r):
     return q, dq
 
 
-def _startup_cell_integrals(N: int, b: float, s: float, r0: float, extra_p=()):
+def _startup_integrals(N: int, b: float, s: float, r0: float, p: float = 0.0):
     """Closed-form integrals over [0, r0] of the radial integrands.
 
     Uses the two-term series q ~ s + A r^{2-b} + B r^2; the neglected terms
     contribute O(r0^{alpha+5-2b}) which is far below every tolerance here.
-    Returns (mass, grad, nonlinear, [moments...]) without the sphere factor.
+    Returns (mass, grad, nonlinear) without the sphere factor; the mass
+    carries the extra weight r^p.
     """
     g = 2.0 * (2.0 - b) / N
     A, B, _, _, _ = startup_coeffs(N, b, s)
@@ -73,8 +79,7 @@ def _startup_cell_integrals(N: int, b: float, s: float, r0: float, extra_p=()):
         return sum(c * r0 ** (alpha + e + 1.0) / (alpha + e + 1.0) for c, e in coeff_pairs)
 
     # q^2 ~ s^2 + 2 s A r^{2-b} + 2 s B r^2
-    sq_pairs = [(s * s, 0.0), (2 * s * A, 2.0 - b), (2 * s * B, 2.0)]
-    mass = poly_moment(nu, sq_pairs)
+    mass = poly_moment(nu + p, [(s * s, 0.0), (2 * s * A, 2.0 - b), (2 * s * B, 2.0)])
     # (q')^2 ~ A^2 (2-b)^2 r^{2-2b} + 4AB(2-b) r^{2-b} + 4 B^2 r^2
     dq_pairs = [
         (A * A * (2 - b) ** 2, 2.0 - 2.0 * b),
@@ -89,8 +94,7 @@ def _startup_cell_integrals(N: int, b: float, s: float, r0: float, extra_p=()):
         ((2 + g) * s ** (1 + g) * B, 2.0),
     ]
     nonlinear = poly_moment(nu - b, nl_pairs)
-    moments = [poly_moment(nu + p, sq_pairs) for p in extra_p]
-    return mass, grad, nonlinear, moments
+    return mass, grad, nonlinear
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +360,6 @@ def solve_ground_state(
     r_max: float = 30.0,
     resolution: int = 4096,
     r0: float = 1e-4,
-    s_guess: float = 1.0,
 ) -> GroundStateData:
     """Shoot for the positive decaying radial profile and derive its constants.
 
@@ -375,18 +378,18 @@ def solve_ground_state(
         raise ValueError("resolution must be at least 64")
 
     # startup series must actually be a small correction at r0
-    qs0, _ = startup_eval(N, b, s_guess, r0)
-    if not np.isfinite(qs0) or abs(qs0 - s_guess) > 0.05 * s_guess:
+    qs0, _ = startup_eval(N, b, _S_GUESS, r0)
+    if not np.isfinite(qs0) or abs(qs0 - _S_GUESS) > 0.05 * _S_GUESS:
         raise SingularStartup(
             f"startup series at r0={r0} is not a small correction for b={b} "
-            f"(relative size {abs(qs0 - s_guess) / s_guess:.3g}); decrease r0"
+            f"(relative size {abs(qs0 - _S_GUESS) / _S_GUESS:.3g}); decrease r0"
         )
 
     h = r_max / resolution
 
     # bracket the amplitude by doubling / halving from the guess
     s_lo = s_hi = None
-    s = s_guess
+    s = _S_GUESS
     first = _classify(N, b, g, s, r0, h, r_max)
     if first == "cross":
         s_hi = s
@@ -440,9 +443,8 @@ def solve_ground_state(
             f"increase r_max or tighten shoot_tol"
         )
 
-    nu, a1, a2 = _tail_params(N)
     rk = nodes[k]
-    K = values[k] / (rk ** (-nu) * math.exp(-rk) * (1.0 + a1 / rk + a2 / rk**2))
+    K = values[k] / _tail_value(N, 1.0, rk)
 
     # extend the stored grid to r_max on the uniform step and fill the tail
     if nodes[-1] < r_max - 1e-9 or k < nodes.size - 1:
@@ -463,7 +465,7 @@ def solve_ground_state(
         tail_start=tail_start,
     )
 
-    l2_sq, grad_sq, nl_int = _core_integrals(params, profile)
+    l2_sq, grad_sq, nl_int = profile_integrals(params, profile)
     gs = GroundStateData(
         params=params,
         profile=profile,
@@ -497,65 +499,69 @@ def _exp_tail_integral(R: float, beta: float) -> float:
     )
 
 
-def _radial_integral(params: GNParams, profile: RadialProfile, kind: str, p: float = 0.0):
-    """Full N-dimensional integral of one of the profile integrands.
+def _radial_quadrature(profile: RadialProfile, N: int, f, df, alpha, startup, tail_sq):
+    """Sphere factor times the integral over [0, infinity) of r^alpha f.
 
-    kind: 'mass' (q^2), 'grad' ((q')^2), 'nl' (r^{-b} q^{2+g}),
-    'moment' (r^p q^2).  Returns (value, tail_estimate).
+    The startup closed form covers [0, r0], Hermite cells on the profile
+    nodes (f and its derivative df) cover [r0, r_max], and the matched tail
+    bounds the truncated remainder by tail_sq times that of the mass.
+    Returns (value, tail remainder).
+    """
+    r = profile.nodes
+    body = integrate_cells(r, hermite_coeffs(r, f, df), alpha)
+    tail = tail_sq * _exp_tail_integral(profile.r_max, alpha - (N - 1.0))
+    S = surface_area(N)
+    return S * (startup + body + tail), S * tail
+
+
+def profile_integrals(params: GNParams, profile: RadialProfile, cutoff=None):
+    """Mass, kinetic and interaction integrals over R^N of u = phi q.
+
+    Returns (int u^2, int |u'|^2, int r^{-b} u^{2+2 beta^2}).  ``cutoff``
+    maps radii to (phi, phi', phi''), and phi must be 1 on [0, r0]; None
+    means phi = 1.  The interaction integrand decays faster than the mass,
+    so the mass-tail remainder bounds its tail too.
     """
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq
     nu = N - 1.0
     r, q, dq = profile.nodes, profile.values, profile.derivs
-    s = profile.startup_amplitude
-    r0 = r[0]
-    su_mass, su_grad, su_nl, su_mom = _startup_cell_integrals(N, b, s, r0, extra_p=(p,))
-
-    if kind == "mass":
-        f, df, alpha, su = q * q, 2.0 * q * dq, nu, su_mass
-    elif kind == "grad":
-        d2q = _ode_second_derivative(params, r, q, dq)
-        f, df, alpha, su = dq * dq, 2.0 * dq * d2q, nu, su_grad
-    elif kind == "nl":
-        f = q ** (2.0 + g)
-        df = (2.0 + g) * q ** (1.0 + g) * dq
-        alpha, su = nu - b, su_nl
-    elif kind == "moment":
-        f, df, alpha, su = q * q, 2.0 * q * dq, nu + p, su_mom[0]
+    d2q = _ode_second_derivative(params, r, q, dq)
+    if cutoff is None:
+        u, du, d2u, phi_end = q, dq, d2q, 1.0
     else:
-        raise ValueError(kind)
-
-    body = integrate_cells(r, hermite_coeffs(r, f, df), alpha)
-    # truncated-tail remainder beyond r_max, from the matched form; the
-    # interaction integrand decays even faster, so its mass-tail bound is safe
-    K = profile.tail_coeff
-    tail = K * K * _exp_tail_integral(profile.r_max, alpha - (N - 1.0))
-    S = surface_area(N)
-    return S * (su + body + tail), S * tail
-
-
-def _core_integrals(params: GNParams, profile: RadialProfile):
-    l2_sq, _ = _radial_integral(params, profile, "mass")
-    grad_sq, _ = _radial_integral(params, profile, "grad")
-    nl_int, _ = _radial_integral(params, profile, "nl")
-    return l2_sq, grad_sq, nl_int
+        ph, dph, d2ph = cutoff(r)
+        u, du, d2u = ph * q, dph * q + ph * dq, d2ph * q + 2.0 * dph * dq + ph * d2q
+        phi_end = float(cutoff(np.array([profile.r_max]))[0][0])
+    su_mass, su_grad, su_nl = _startup_integrals(N, b, profile.startup_amplitude, r[0])
+    tail_sq = phi_end * phi_end * profile.tail_coeff * profile.tail_coeff
+    # one integrand pair at a time keeps the peak memory of a fine profile low
+    mass = _radial_quadrature(profile, N, u * u, 2.0 * u * du, nu, su_mass, tail_sq)[0]
+    kinetic = _radial_quadrature(profile, N, du * du, 2.0 * du * d2u, nu, su_grad, tail_sq)[0]
+    f, df = u ** (2.0 + g), (2.0 + g) * u ** (1.0 + g) * du
+    return mass, kinetic, _radial_quadrature(profile, N, f, df, nu - b, su_nl, tail_sq)[0]
 
 
-def moment(gs: GroundStateData, p: float, rel_tol: float = 1e-6) -> float:
+def moment(gs: GroundStateData, p: float) -> float:
     """Integral of |x|^p q^2 over R^N by radial quadrature.
 
     Results are cached on ``gs.moments``.  Raises TailUnresolved when the
-    estimated truncated-tail contribution exceeds rel_tol of the value.
+    estimated truncated-tail contribution exceeds 1e-6 of the value.
     """
     if p < 0.0:
         raise ValueError("moment exponent p must be nonnegative")
     key = float(p)
     if key in gs.moments:
         return gs.moments[key]
-    value, tail = _radial_integral(gs.params, gs.profile, "moment", p=p)
-    if not np.isfinite(tail) or tail > rel_tol * abs(value):
+    params, prof = gs.params, gs.profile
+    N = params.N
+    q, dq = prof.values, prof.derivs
+    su_mass, _, _ = _startup_integrals(N, params.b, prof.startup_amplitude, prof.nodes[0], p)
+    K = prof.tail_coeff
+    value, tail = _radial_quadrature(prof, N, q * q, 2.0 * q * dq, N - 1.0 + p, su_mass, K * K)
+    if not np.isfinite(tail) or tail > _MOMENT_REL_TOL * abs(value):
         raise TailUnresolved(
-            f"tail estimate {tail:.3g} exceeds {rel_tol:.1g} of moment p={p}; increase r_max"
+            f"tail estimate {tail:.3g} exceeds {_MOMENT_REL_TOL:.1g} of moment p={p}; increase r_max"
         )
     gs.moments[key] = value
     return value
@@ -597,43 +603,15 @@ class LinearizedProbe:
     iterations: int
 
 
-def _assemble_linearized(gs: GroundStateData):
-    """Discrete linearized operator on the profile grid.
+def _profile_grid(gs: GroundStateData) -> Grid:
+    """Grid on the profile's own nodes; r_max carries the Dirichlet row and
+    the first node r0 > 0 closes with the natural (Neumann) condition.
 
-    Conservative fluxes, lumped weighted masses, Neumann closure at r0 and
-    a Dirichlet row at r_max.  Returns (apply_A, mass, size); apply_A
-    realizes the weak form, i.e. (A v)_i ~ mass_i * (L v)(r_i).
+    Its step h is the widest cell, the uniform march step: a loaded
+    document need not carry the solver's meta.
     """
-    from .quadrature import cell_weight_integrals
-
-    params = gs.params
-    N, b = params.N, params.b
-    g = 2.0 * params.beta_sq
-    p = gs.profile
-    r, q = p.nodes, p.values
-    nu = N - 1.0
-    n = r.size
-
-    cflux = cell_weight_integrals(r, nu) / np.diff(r) ** 2
-    mass = hat_weights(r, nu)
-    mass[0] += r[0] ** N / N  # lump the [0, r0] volume onto the first node
-    wpot = hat_weights(r, nu - b) * q**g
-    diag = np.zeros(n)
-    diag[:-1] += cflux
-    diag[1:] += cflux
-    diag += mass - (1.0 + g) * wpot
-
-    m = n - 1  # Dirichlet node at r_max dropped
-    diag = diag[:m]
-    off = -cflux[: m - 1]
-
-    def apply_A(v):
-        out = diag * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
-        return out
-
-    return apply_A, diag, off, mass[:m], m
+    r = gs.profile.nodes
+    return Grid(domain=Ball(gs.params.N, gs.profile.r_max), nodes=r, h=float(np.max(np.diff(r))))
 
 
 def _nonuniform_second_deriv(r, f):
@@ -652,6 +630,10 @@ def scaling_direction_residual(gs: GroundStateData) -> float:
     profile or wrong operator coefficients shows up at order one; a
     converged solve sits at the reconstruction floor ~ O(h^2).
     """
+    return _dilation_residual(gs, _profile_grid(gs))
+
+
+def _dilation_residual(gs: GroundStateData, grid: Grid) -> float:
     params = gs.params
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq
@@ -673,49 +655,64 @@ def scaling_direction_residual(gs: GroundStateData) -> float:
     # exponentially negligible at that radius)
     k = int(np.searchsorted(r, p.tail_start))
     resid[max(k - 2, 0): k + 3] = 0.0
-    w = hat_weights(r, N - 1.0)
-    num = float(np.dot(w, resid * resid))
-    den = float(np.dot(w, (2.0 * q) ** 2))
-    return math.sqrt(num / den)
+    w = hat_masses(grid, 0.0)
+    return math.sqrt(_dot(w, resid * resid) / _dot(w, (2.0 * q) ** 2))
 
 
-def linearized_probe(gs: GroundStateData, max_iters: int = 60, tol: float = 1e-11) -> LinearizedProbe:
+def linearized_probe(gs: GroundStateData) -> LinearizedProbe:
     """Smallest radial eigenvalue of the linearized operator, plus the
     residual of the dilation-direction identity.
 
+    The operator is the P1 weak form A = K + D - (1 + 2 beta^2) Wb q^{2 beta^2}
+    on the profile grid (K the grids' stiffness, D the lumped masses with
+    the [0, r0] volume on the first node), so (A v)_i ~ D_i (L v)(r_i).
     The eigenvalue comes from Rayleigh-quotient inverse iteration started
     at the profile itself (whose Rayleigh quotient is negative, so a
-    negative smallest eigenvalue is certain before any iteration).
+    negative smallest eigenvalue is certain before any iteration).  The
+    quotient sums v . K v from the conductances: the stiffness rows of the
+    fine startup cells are large, and K v would cancel away digits there.
     """
-    apply_A, diag, off, Dm, m = _assemble_linearized(gs)
-    x = gs.profile.values[:m].copy()
+    N = gs.params.N
+    g = 2.0 * gs.params.beta_sq
+    grid = _profile_grid(gs)
+    inner = grid.interior
+    Dm = hat_masses(grid, 0.0)[inner].copy()
+    Dm[0] += surface_area(N) * grid.nodes[0] ** N / N  # lump the [0, r0] volume onto the first node
+    x = gs.profile.values[inner]
+    shift = Dm - (1.0 + g) * hat_masses(grid, -gs.params.b)[inner] * x**g
+    bands = stiffness_bands(grid)
+    kappa = kinetic_conductances(grid)
 
-    xn = x / math.sqrt(np.dot(Dm * x, x))
-    sigma = float(np.dot(apply_A(xn), xn))
+    def rayleigh(v):  # of D-normalized v; the last cell ends at the Dirichlet node
+        dv = np.diff(v, append=0.0)
+        return _dot(kappa, dv * dv) + _dot(shift * v, v)
+
+    xn = x / math.sqrt(_dot(Dm * x, x))
+    sigma = rayleigh(xn)
     it = 0
-    ab = np.zeros((3, m))
-    while it < max_iters:
+    ab = np.zeros((3, grid.n_interior))
+    ab[0, 1:] = ab[2, :-1] = bands[0, 1:]
+    diag = bands[1] + shift
+    while it < _PROBE_MAX_ITERS:
         it += 1
-        ab[0, 1:] = off
-        ab[1, :] = diag - sigma * Dm
-        ab[2, :-1] = off
+        ab[1] = diag - sigma * Dm
         try:
             y = solve_banded((1, 1), ab, Dm * xn)
         except np.linalg.LinAlgError:
             sigma *= 1.0 + 1e-12
             continue
-        yn = y / math.sqrt(np.dot(Dm * y, y))
-        sigma_new = float(np.dot(apply_A(yn), yn))
-        done = abs(sigma_new - sigma) <= tol * (1.0 + abs(sigma_new))
+        yn = y / math.sqrt(_dot(Dm * y, y))
+        sigma_new = rayleigh(yn)
+        done = abs(sigma_new - sigma) <= _PROBE_TOL * (1.0 + abs(sigma_new))
         sigma = sigma_new
         xn = yn
         if done:
             break
     else:
-        raise IterationStall(f"inverse iteration did not converge in {max_iters} iterations")
+        raise IterationStall(f"inverse iteration did not converge in {_PROBE_MAX_ITERS} iterations")
 
     return LinearizedProbe(
         eigenvalue=sigma,
-        identity_residual=scaling_direction_residual(gs),
+        identity_residual=_dilation_residual(gs, grid),
         iterations=it,
     )

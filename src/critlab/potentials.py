@@ -19,6 +19,8 @@ from .errors import OutsideDomain
 from .grids import Ball, Domain, Interval
 from .groundstate import GroundStateData, moment
 
+_N_SAMPLES = 2001  # sample points of the assumption checks
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -122,12 +124,12 @@ class LambdaConstant:
     limit_value: float
 
 
-def compute_lambda(spec: PotentialSpec, gs: GroundStateData, moment_rel_tol: float = 1e-6) -> LambdaConstant:
+def compute_lambda(spec: PotentialSpec, gs: GroundStateData) -> LambdaConstant:
     """lambda = ((p/2) * moment(p) * L0)^{1/(p+2)} from the solved profile."""
     p = spec.p0
     if p <= 0.0:
         raise ValueError(f"origin exponent must be positive, got {p}")
-    mom = moment(gs, p, rel_tol=moment_rel_tol)
+    mom = moment(gs, p)
     L0 = limit_factor(spec)
     value = (0.5 * p * mom * L0) ** (1.0 / (p + 2.0))
     return LambdaConstant(p=p, value=value, moment_value=mom, limit_value=L0)
@@ -142,7 +144,7 @@ class PotentialValidation:
         return not self.violations
 
 
-def validate_assumptions(spec: PotentialSpec, domain: Domain, n_samples: int = 2001) -> PotentialValidation:
+def validate_assumptions(spec: PotentialSpec, domain: Domain) -> PotentialValidation:
     """Check the structural assumptions on a dense sample; report violations."""
     problems: list[str] = []
     if spec.p0 <= 0.0:
@@ -161,9 +163,9 @@ def validate_assumptions(spec: PotentialSpec, domain: Domain, n_samples: int = 2
                 f"off-origin zero at {xi} breaks radial symmetry on a ball domain"
             )
     if isinstance(domain, Interval):
-        xs = np.linspace(domain.x_lo, domain.x_hi, n_samples)
+        xs = np.linspace(domain.x_lo, domain.x_hi, _N_SAMPLES)
     else:
-        xs = np.linspace(0.0, domain.radius, n_samples)
+        xs = np.linspace(0.0, domain.radius, _N_SAMPLES)
     hv = spec.eval_h(xs)
     if np.any(hv <= 0.0):
         problems.append("h must be strictly positive on the closed domain")

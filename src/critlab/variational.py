@@ -34,10 +34,16 @@ from .grids import (
     normalize_mass,
     stiffness_bands,
 )
-from .groundstate import GroundStateData, _exp_tail_integral, _startup_cell_integrals
-from .params import GNParams, surface_area
+from .groundstate import GroundStateData, profile_integrals
+from .params import GNParams
 from .potentials import PotentialSpec, eval_potential
-from .quadrature import hermite_coeffs, integrate_cells
+
+_MASS_TOL = 1e-3  # largest |mass - 1| evaluate_energy accepts
+# time-step control of the gradient flow
+_DT_MIN = 1e-7
+_GROW_EVERY = 250  # accepted steps between time-step increases
+_GROW_FACTOR = 1.4
+_ENERGY_SLACK = 1e-9  # relative energy increase a step may make
 
 
 # ----------------------------------------------------------------------
@@ -130,19 +136,13 @@ def evaluate_energy(
     u: GridFunction,
     params: GNParams,
     spec: PotentialSpec | None = None,
-    mass_tol: float = 1e-3,
 ) -> EnergyBreakdown:
     """Evaluate the functional on a unit-mass grid function."""
     sys_ = _System(u.grid, params, spec)
     m = sys_.mass(u.values)
-    if abs(m - 1.0) > mass_tol:
-        raise MassViolation(f"|mass - 1| = {abs(m - 1.0):.3g} exceeds {mass_tol}")
+    if abs(m - 1.0) > _MASS_TOL:
+        raise MassViolation(f"|mass - 1| = {abs(m - 1.0):.3g} exceeds {_MASS_TOL}")
     return sys_.energy(u.values)[0]
-
-
-def nonlinear_integral(u: GridFunction, params: GNParams) -> float:
-    """Weighted interaction integral of |u|^{2+2 beta^2}."""
-    return _System(u.grid, params, None).interaction(u.values)
 
 
 def gn_quotient(u: GridFunction, params: GNParams) -> float:
@@ -222,50 +222,15 @@ def _trial_radial_integrals(gs: GroundStateData, tau: float, R: float):
     no interpolation of the profile enters where the cutoff is 1; accuracy
     is limited only by the profile itself.
     """
-    params = gs.params
-    N, b = params.N, params.b
-    bs = params.beta_sq
-    power = 2.0 + 2.0 * bs
-    p = gs.profile
-    y, q, dq = p.nodes, p.values, p.derivs
-    d2q = q - y ** (-b) * q ** (1.0 + 2.0 * bs) - (N - 1) / y * dq
-    nu = N - 1.0
-
     Rt = R * tau
-    t = y / Rt - 1.0
-    ph = _bump(t)
-    ph_y = _bump_d1(t) / Rt
-    ph_yy = _bump_d2(t) / Rt**2
 
-    su_mass, su_grad, su_nl, _ = _startup_cell_integrals(N, b, p.startup_amplitude, y[0])
+    def cutoff(y):
+        t = y / Rt - 1.0
+        return _bump(t), _bump_d1(t) / Rt, _bump_d2(t) / Rt**2
 
-    f = ph * ph * q * q
-    df = 2.0 * ph * ph_y * q * q + ph * ph * 2.0 * q * dq
-    i_m = su_mass + integrate_cells(y, hermite_coeffs(y, f, df), nu)
-
-    gfun = ph_y * q + ph * dq
-    f = gfun * gfun
-    df = 2.0 * gfun * (ph_yy * q + 2.0 * ph_y * dq + ph * d2q)
-    i_k = su_grad + integrate_cells(y, hermite_coeffs(y, f, df), nu)
-
-    f = ph**power * q**power
-    df = power * ph ** (power - 1.0) * ph_y * q**power + ph**power * power * q ** (power - 1.0) * dq
-    i_nl = su_nl + integrate_cells(y, hermite_coeffs(y, f, df), nu - b)
-
-    if 2.0 * Rt > p.r_max:
-        # cutoff still alive at the truncation radius: add matched-tail remainders
-        K = p.tail_coeff
-        phi_end = float(_bump(np.array([p.r_max / Rt - 1.0]))[0])
-        i_m += phi_end**2 * K * K * _exp_tail_integral(p.r_max, nu - (N - 1.0))
-        i_k += phi_end**2 * K * K * _exp_tail_integral(p.r_max, nu - (N - 1.0))
-        i_nl += phi_end**power * K**power * _exp_tail_integral(p.r_max, nu - b - (N - 1.0))
-
-    S = surface_area(N)
+    i_m, i_k, i_nl = profile_integrals(gs.params, gs.profile, cutoff)
     l2 = gs.l2_sq
-    mass_raw = S * i_m / l2
-    kin_raw = tau**2 * S * i_k / l2
-    nl_raw = tau**2 * S * i_nl / l2 ** (1.0 + bs)
-    return mass_raw, kin_raw, nl_raw
+    return i_m / l2, tau**2 * i_k / l2, tau**2 * i_nl / l2 ** (1.0 + gs.params.beta_sq)
 
 
 def default_cutoff_radius(grid: Grid) -> float:
@@ -321,11 +286,7 @@ class FlowConfig:
     dt: float = 1e-2
     tol: float = 1e-9
     max_iters: int = 500_000
-    dt_min: float = 1e-7
     dt_max: float = 0.25
-    grow_every: int = 250
-    grow_factor: float = 1.4
-    energy_slack: float = 1e-9
     probe_mode: bool = False
     energy_floor: float = -1e3
     record_energy: bool = False
@@ -382,11 +343,11 @@ def gradient_flow_minimize(
     while iterations < cfg.max_iters:
         u_star = cho_solve_banded((fact, False), sys_.flow_rhs(u, dt, mu_r))
         if np.any(u_star <= 0.0):
-            if dt <= cfg.dt_min:
+            if dt <= _DT_MIN:
                 raise NonPositive(
-                    f"iterate lost positivity at dt = {dt:.3g} (minimum {cfg.dt_min:.3g})"
+                    f"iterate lost positivity at dt = {dt:.3g} (minimum {_DT_MIN:.3g})"
                 )
-            dt = max(dt * 0.5, cfg.dt_min)
+            dt = max(dt * 0.5, _DT_MIN)
             fact = sys_.factor(dt)
             clean_steps = 0
             continue
@@ -399,9 +360,9 @@ def gradient_flow_minimize(
                 f"energy {energy_new:.6g} fell below the floor {cfg.energy_floor:.3g}",
                 energy=energy_new,
             )
-        slack = cfg.energy_slack * (1.0 + abs(energy_prev))
-        if energy_new > energy_prev + slack and dt > 2.0 * cfg.dt_min:
-            dt = max(dt * 0.5, cfg.dt_min)
+        slack = _ENERGY_SLACK * (1.0 + abs(energy_prev))
+        if energy_new > energy_prev + slack and dt > 2.0 * _DT_MIN:
+            dt = max(dt * 0.5, _DT_MIN)
             fact = sys_.factor(dt)
             clean_steps = 0
             continue
@@ -418,8 +379,8 @@ def gradient_flow_minimize(
             converged = True
             break
         clean_steps += 1
-        if clean_steps >= cfg.grow_every and dt < cfg.dt_max:
-            dt = min(dt * cfg.grow_factor, cfg.dt_max)
+        if clean_steps >= _GROW_EVERY and dt < cfg.dt_max:
+            dt = min(dt * _GROW_FACTOR, cfg.dt_max)
             fact = sys_.factor(dt)
             clean_steps = 0
 

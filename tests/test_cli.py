@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from critlab import FlowConfig, solve_ground_state
 from critlab.cli import default_config, parse_config, run_command, serialize_config
 from critlab.errors import ConfigError
 
@@ -32,6 +34,18 @@ gap_start_mult = 0.2
 n_points = 5
 drop_widest = 0
 """
+
+
+def test_cli_defaults_match_library():
+    cfg = default_config()
+    lib = FlowConfig()
+    flow = cfg["flow"]
+    assert (flow["dt"], flow["tol"], flow["max_iters"], flow["dt_max"], flow["probe_floor"]) == (
+        lib.dt, lib.tol, lib.max_iters, lib.dt_max, lib.energy_floor
+    )
+    sig = inspect.signature(solve_ground_state).parameters
+    for key in ("resolution", "r_max", "r0", "shoot_tol"):
+        assert cfg["groundstate"][key] == sig[key].default, key
 
 
 def test_config_round_trip():

@@ -18,7 +18,8 @@ from critlab import (
     mass,
     normalize_mass,
 )
-from critlab.grids import dirichlet_form, hat_masses
+from critlab.grids import Grid, dirichlet_form, hat_masses
+from critlab.params import surface_area
 
 
 def test_build_grid_counts():
@@ -154,3 +155,13 @@ def test_interval_asymmetric_and_straddling_cells():
     ones = np.ones(g.nodes.size)
     exact = 2.0 * (math.sqrt(0.95) + math.sqrt(1.55))
     assert integrate_nodal(g, ones, -0.5) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_nonuniform_ball_grid_masses_and_stiffness(N):
+    # unequal cells starting away from the origin, as on a profile grid
+    grid = Grid(Ball(N, 3.0), nodes=np.array([0.5, 0.6, 0.8, 1.2, 2.0, 3.0]), h=0.5)
+    shell = surface_area(N) * (3.0**N - 0.5**N) / N
+    assert hat_masses(grid, 0.0).sum() == pytest.approx(shell, rel=1e-14)
+    u = GridFunction.from_callable(grid, lambda r: 3.0 - r)  # |u'| = 1, zero at r = 3
+    assert dirichlet_form(u) == pytest.approx(shell, rel=1e-14)

@@ -154,3 +154,14 @@ def test_linearized_probe(gs31):
         ),
     )
     assert scaling_direction_residual(doubled) > 0.1
+
+
+def test_linearized_probe_converges_in_one_dimension():
+    # in one dimension the fine startup cells give the stiffness large rows;
+    # the Rayleigh quotient must not lose the digits the stopping test needs
+    gs = solve_ground_state(GNParams(1, 0.25), resolution=4096)
+    doc = gs.to_json_dict()
+    del doc["meta"]  # a loaded document need not carry the solver's meta
+    pr = linearized_probe(type(gs).from_json_dict(doc))
+    assert pr.eigenvalue < 0.0
+    assert pr.iterations <= 10

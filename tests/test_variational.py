@@ -193,6 +193,16 @@ def test_trial_kinetic_scaling(gs105):
     assert abs(vals[1] - 1.0 / 1.5) < abs(vals[0] - 1.0 / 1.5)
 
 
+def test_trial_integrals_match_constants_at_unit_cutoff(gs105):
+    # a cutoff that is 1 on the whole profile grid reduces the trial route
+    # to the quadrature of the constants themselves
+    m, k, nl = _trial_radial_integrals(gs105, 1.0, gs105.profile.r_max)
+    assert m == pytest.approx(1.0, rel=1e-14)
+    assert k == pytest.approx(gs105.grad_sq / gs105.l2_sq, rel=1e-14)
+    bs = gs105.params.beta_sq
+    assert nl == pytest.approx(gs105.nonlinear_int / gs105.l2_sq ** (1.0 + bs), rel=1e-14)
+
+
 def test_trial_domain_too_small(gs105):
     grid = build_grid(Interval(-1.0, 1.0), 256)
     with pytest.raises(DomainTooSmall):
