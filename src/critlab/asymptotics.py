@@ -25,6 +25,11 @@ from .variational import FlowConfig, MinimizerResult, gradient_flow_minimize
 _ENERGY_EXP_BAND = 0.025
 _EPS_EXP_BAND = 0.0125
 _PREFACTOR_RTOL = 0.10
+# acceptance of check_limits: |mu eps^2 + beta^2| / beta^2, tightest / widest
+# energy, and the allowance over the trial energy bound
+_MU_EPS_RTOL = 0.05
+_ENERGY_RATIO_THRESHOLD = 0.10
+_BOUND_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -215,21 +220,13 @@ class ScalingFit:
 
 
 def predicted_energy_prefactor(gs: GroundStateData, lam: LambdaConstant) -> float:
-    p = lam.p
-    bs = gs.params.beta_sq
-    return (
-        (p + 2.0)
-        / p
-        * lam.value**2
-        * gs.l2_sq ** (-2.0 / (p + 2.0))
-        * (gs.a_star * bs) ** (-p / (p + 2.0))
-    )
+    """Energy law at unit gap: the trial bound is its leading term."""
+    return lemma_energy_bound(1.0, gs, lam)
 
 
 def predicted_eps_prefactor(gs: GroundStateData, lam: LambdaConstant) -> float:
-    p = lam.p
-    bs = gs.params.beta_sq
-    return (gs.l2_sq * bs ** (p / 2.0) / gs.a_star) ** (1.0 / (p + 2.0)) / lam.value
+    """Concentration-scale law at unit gap."""
+    return predicted_eps(1.0, gs, lam)
 
 
 def _fit_log_law(gaps, values, predicted_exponent, predicted_prefactor, exp_band):
@@ -334,14 +331,7 @@ def lemma_energy_bound(gap: float, gs: GroundStateData, lam: LambdaConstant) -> 
     )
 
 
-def check_limits(
-    records,
-    gs: GroundStateData,
-    lam: LambdaConstant,
-    mu_eps_rtol: float = 0.05,
-    energy_ratio_threshold: float = 0.10,
-    bound_slack: float = 0.05,
-) -> LimitsReport:
+def check_limits(records, gs: GroundStateData, lam: LambdaConstant) -> LimitsReport:
     """Multiplier limit, threshold energy trend and the upper energy bound."""
     recs = sorted(records, key=lambda r: r.a)
     if not recs:
@@ -352,16 +342,16 @@ def check_limits(
     dev = abs(mu_eps_sq + bs) / bs
     ratio = tight.energy / recs[0].energy if recs[0].energy != 0 else math.inf
     margins = tuple(
-        r.energy / (lemma_energy_bound(r.gap, gs, lam) * (1.0 + bound_slack)) for r in recs
+        r.energy / (lemma_energy_bound(r.gap, gs, lam) * (1.0 + _BOUND_SLACK)) for r in recs
     )
     energies = [r.energy for r in recs]
     epses = [r.eps for r in recs]
     return LimitsReport(
         mu_eps_sq=mu_eps_sq,
         mu_eps_sq_rel_dev=dev,
-        mu_eps_ok=bool(dev < mu_eps_rtol),
+        mu_eps_ok=bool(dev < _MU_EPS_RTOL),
         energy_ratio=ratio,
-        energy_ratio_ok=bool(ratio < energy_ratio_threshold),
+        energy_ratio_ok=bool(ratio < _ENERGY_RATIO_THRESHOLD),
         lemma_bound_ok=bool(all(m <= 1.0 for m in margins)),
         lemma_bound_margins=margins,
         energy_decreasing=bool(

@@ -25,12 +25,10 @@ from .params import GNParams
 from .potentials import PotentialSpec, compute_lambda, validate_assumptions
 from .variational import (
     FlowConfig,
-    evaluate_energy,
     fit_multiplier,
     fit_tau_square_coefficient,
     gn_quotient,
     gradient_flow_minimize,
-    make_trial_function,
     multistart_uniqueness,
     nonexistence_probe,
     trial_quotient,
@@ -96,7 +94,7 @@ _SCHEMA = {
         "tol": (float, repr(FlowConfig.tol)),
         "max_iters": (int, repr(FlowConfig.max_iters)),
         "dt_max": (float, repr(FlowConfig.dt_max)),
-        "probe_floor": (float, repr(FlowConfig.energy_floor)),
+        "probe_floor": (float, "-1e3"),  # energy floor of minimize at a >= a*
         "seed": (int, "12345"),
     },
     "sweep": {
@@ -234,15 +232,14 @@ def _solve_gs(cfg) -> GroundStateData:
     )
 
 
-def _flow_cfg(cfg, probe_mode=False) -> FlowConfig:
+def _flow_cfg(cfg, above_threshold=False) -> FlowConfig:
     f = cfg["flow"]
     return FlowConfig(
         dt=f["dt"],
         tol=f["tol"],
         max_iters=f["max_iters"],
         dt_max=f["dt_max"],
-        probe_mode=probe_mode,
-        energy_floor=f["probe_floor"],
+        energy_floor=f["probe_floor"] if above_threshold else None,
     )
 
 
@@ -305,9 +302,9 @@ def cmd_minimize(cfg, args) -> int:
     spec = _spec(cfg)
     a = _resolve_a(cfg, gs)
     params = gs.params.with_a(a)
-    probe = a >= gs.a_star
+    above = a >= gs.a_star
     init = _default_init(cfg, gs, grid, a)
-    res = gradient_flow_minimize(init, params, spec, _flow_cfg(cfg, probe_mode=probe))
+    res = gradient_flow_minimize(init, params, spec, _flow_cfg(cfg, above_threshold=above))
     print(f"a = {fmt(a)}  (a/a_star = {fmt(a / gs.a_star)})")
     print(
         f"energy = {fmt(res.energy)}  mu = {fmt(res.mu)}  eps = {fmt(res.eps)}  "
@@ -321,6 +318,13 @@ def cmd_minimize(cfg, args) -> int:
         f"mu - mu_fit = {res.mu - res.mu_fit:.3e}",
     )
     ok &= _print_check("stationarity", res.residual < 1e-5, f"residual = {res.residual:.3e}")
+    if above:
+        # with V(0) = 0, as for every critlab potential, none exists for a >= a*
+        ok &= _print_check(
+            "no minimizer for a >= a*",
+            False,
+            f"the flow stopped at eps = {res.eps:.4g}, h = {grid.h:.4g}",
+        )
     arch = RunArchive(config_text=serialize_config(cfg))
     arch.add("minimizer.csv", grid_function_csv(res.u))
     arch.add_json(
@@ -611,17 +615,17 @@ _COMMANDS = {
 
 # flag -> (section, key) overrides applied after config load
 _OVERRIDES = [
-    ("--N", "problem", "n", int),
-    ("--b", "problem", "b", float),
-    ("--a", "problem", "a", float),
-    ("--a-mult", "problem", "a_mult", float),
-    ("--resolution", "domain", "resolution", int),
-    ("--gs-resolution", "groundstate", "resolution", int),
-    ("--r-max", "groundstate", "r_max", float),
-    ("--seed", "flow", "seed", int),
-    ("--n-starts", "uniqueness", "n_starts", int),
-    ("--n-random", "gn", "n_random", int),
-    ("--taus", "trial", "tau_list", str),
+    ("--N", "problem", "n"),
+    ("--b", "problem", "b"),
+    ("--a", "problem", "a"),
+    ("--a-mult", "problem", "a_mult"),
+    ("--resolution", "domain", "resolution"),
+    ("--gs-resolution", "groundstate", "resolution"),
+    ("--r-max", "groundstate", "r_max"),
+    ("--seed", "flow", "seed"),
+    ("--n-starts", "uniqueness", "n_starts"),
+    ("--n-random", "gn", "n_random"),
+    ("--taus", "trial", "tau_list"),
 ]
 
 
@@ -632,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory for the run archive")
-        for flag, _sec, _key, typ in _OVERRIDES:
+        for flag, _sec, _key in _OVERRIDES:
             p.add_argument(flag, default=None, type=str)
     return ap
 
@@ -642,7 +646,7 @@ def run_command(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        for flag, sec, key, typ in _OVERRIDES:
+        for flag, sec, key in _OVERRIDES:
             attr = flag.lstrip("-").replace("-", "_")
             raw = getattr(args, attr, None)
             if raw is not None:

@@ -61,9 +61,10 @@ class NotConverged(CritlabError):
 
 
 class EnergyDiverged(CritlabError):
-    """Probe-mode flow energy fell below the configured floor.
+    """Flow energy fell below ``FlowConfig.energy_floor``.
 
-    Carries the last recorded energy on ``energy``.
+    `critlab minimize` sets the floor (``[flow] probe_floor``) only when
+    a >= a*.  Carries the energy of the step that crossed it on ``energy``.
     """
 
     def __init__(self, message, energy=None):

@@ -28,6 +28,7 @@ _GRADING_PER_H = 2.73
 _GRADING_CAP = 0.08
 _TAIL_SWITCH_BASE = 3e-6  # switch to the matched tail once q/s falls below this
 _S_GUESS = 1.0  # central amplitude the shooting bracket starts from
+_S_MIN, _S_MAX = 1e-4, 1e4  # amplitudes the bracket search may reach
 _MOMENT_REL_TOL = 1e-6  # largest truncated-tail share of a moment
 _PROBE_MAX_ITERS = 60
 _PROBE_TOL = 1e-11  # relative change of the Rayleigh quotient at convergence
@@ -276,8 +277,8 @@ def _march(N, b, g, s, r0, h, r_max, store):
     Steps grow geometrically out of the startup region (local error of the
     singular right-hand side stays O(step^5 r^{-3-b})), then run uniformly
     at h.  Near the turning region (q below 5% of s) each advance is split
-    in two.  Returns (status, arrays or stop radius); status is 'cross',
-    'diverge' or 'end'.
+    in two.  Returns the status, 'cross', 'diverge' or 'end', and with
+    ``store`` also the node, value and derivative arrays.
     """
     nm1 = N - 1.0
     q, dq = startup_eval(N, b, s, r0)
@@ -342,12 +343,11 @@ def _march(N, b, g, s, r0, h, r_max, store):
 
     if store:
         return status, rs[:m], qs[:m], dqs[:m]
-    return status, r
+    return status
 
 
 def _classify(N, b, g, s, r0, h, r_max):
-    status, _ = _march(N, b, g, s, r0, h, r_max, store=False)
-    return status
+    return _march(N, b, g, s, r0, h, r_max, store=False)
 
 
 # ----------------------------------------------------------------------
@@ -387,41 +387,28 @@ def solve_ground_state(
 
     h = r_max / resolution
 
-    # bracket the amplitude by doubling / halving from the guess
+    # one loop classifies and narrows: halve or double s from the guess
+    # until both sides of the sign change are seen, then bisect
     s_lo = s_hi = None
     s = _S_GUESS
-    first = _classify(N, b, g, s, r0, h, r_max)
-    if first == "cross":
-        s_hi = s
-        while s > 1e-4:
-            s *= 0.5
-            if _classify(N, b, g, s, r0, h, r_max) == "cross":
-                s_hi = s
-            else:
-                s_lo = s
-                break
-    else:
-        s_lo = s
-        while s < 1e4:
-            s *= 2.0
-            if _classify(N, b, g, s, r0, h, r_max) == "cross":
-                s_hi = s
-                break
-            s_lo = s
-    if s_lo is None or s_hi is None:
-        raise BracketFailure(
-            f"no sign change of the shooting discriminant for N={N}, b={b} "
-            f"over amplitudes [1e-4, 1e4]"
-        )
-
-    while s_hi - s_lo > shoot_tol * s_hi:
-        s_mid = 0.5 * (s_lo + s_hi)
-        if s_mid in (s_lo, s_hi):
-            break  # double precision floor
-        if _classify(N, b, g, s_mid, r0, h, r_max) == "cross":
-            s_hi = s_mid
+    while True:
+        if _classify(N, b, g, s, r0, h, r_max) == "cross":
+            s_hi = s
         else:
-            s_lo = s_mid
+            s_lo = s
+        if s_lo is None or s_hi is None:
+            if not _S_MIN < s < _S_MAX:
+                raise BracketFailure(
+                    f"no sign change of the shooting discriminant for N={N}, b={b} "
+                    f"over amplitudes [{_S_MIN:g}, {_S_MAX:g}]"
+                )
+            s = s * 0.5 if s_lo is None else s * 2.0
+        elif s_hi - s_lo <= shoot_tol * s_hi:
+            break
+        else:
+            s = 0.5 * (s_lo + s_hi)
+            if s in (s_lo, s_hi):
+                break  # double precision floor
 
     # final march on the non-crossing side
     status, nodes, values, derivs = _march(N, b, g, s_lo, r0, h, r_max, store=True)

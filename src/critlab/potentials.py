@@ -11,12 +11,12 @@ is the prefactor in the energy and blow-up laws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutsideDomain
-from .grids import Ball, Domain, Interval
+from .grids import Domain, Interval
 from .groundstate import GroundStateData, moment
 
 _N_SAMPLES = 2001  # sample points of the assumption checks
@@ -51,10 +51,6 @@ class PotentialSpec:
         object.__setattr__(
             self, "zeros", tuple((float(x), float(p)) for x, p in self.zeros)
         )
-
-    @property
-    def p(self) -> float:
-        return self.p0
 
     def eval_h(self, x):
         x = np.asarray(x, dtype=float)

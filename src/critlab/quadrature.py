@@ -87,15 +87,6 @@ def hermite_coeffs(r: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     return c
 
 
-def linear_coeffs(r: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Local linear coefficients per cell from node values."""
-    h = np.diff(r)
-    c = np.empty((h.size, 2))
-    c[:, 0] = f[:-1]
-    c[:, 1] = np.diff(f) / h
-    return c
-
-
 def integrate_cells(r: np.ndarray, coeffs: np.ndarray, alpha: float) -> float:
     """Sum of cell integrals of r^alpha times the local polynomials."""
     M = cell_moments(r[:-1], r[1:], alpha, coeffs.shape[1] - 1)

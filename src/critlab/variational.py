@@ -281,16 +281,20 @@ def trial_quotient(gs: GroundStateData, tau: float, R: float) -> float:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Tuning for the semi-implicit normalized gradient flow."""
+    """Tuning for the semi-implicit normalized gradient flow.
+
+    ``energy_floor``: raise EnergyDiverged once a step's energy falls below
+    it (None: no floor).  ``trace_stride``: record the energy and the
+    kinetic term of every ``trace_stride``-th accepted step on the result
+    (0: no trace).
+    """
 
     dt: float = 1e-2
     tol: float = 1e-9
     max_iters: int = 500_000
     dt_max: float = 0.25
-    probe_mode: bool = False
-    energy_floor: float = -1e3
-    record_energy: bool = False
-    record_stride: int = 1
+    energy_floor: float | None = None
+    trace_stride: int = 0
 
 
 @dataclass
@@ -334,59 +338,53 @@ def gradient_flow_minimize(
     fact = sys_.factor(dt)
     eb, nl = sys_.energy(u)
     energy_prev, mu_r = eb.total, sys_.multiplier(eb.total, nl)
-    traces_e: list = []
-    traces_k: list = []
+    trace: list[EnergyBreakdown] = []
     iterations = 0
     converged = False
     clean_steps = 0
 
     while iterations < cfg.max_iters:
+        # each branch only chooses the next time step; a change refactors below
+        new_dt = dt
         u_star = cho_solve_banded((fact, False), sys_.flow_rhs(u, dt, mu_r))
         if np.any(u_star <= 0.0):
             if dt <= _DT_MIN:
                 raise NonPositive(
                     f"iterate lost positivity at dt = {dt:.3g} (minimum {_DT_MIN:.3g})"
                 )
-            dt = max(dt * 0.5, _DT_MIN)
-            fact = sys_.factor(dt)
-            clean_steps = 0
-            continue
-        u_new = u_star / math.sqrt(sys_.mass(u_star))
-        eb, nl = sys_.energy(u_new)
-        energy_new = eb.total
-
-        if cfg.probe_mode and energy_new < cfg.energy_floor:
-            raise EnergyDiverged(
-                f"energy {energy_new:.6g} fell below the floor {cfg.energy_floor:.3g}",
-                energy=energy_new,
-            )
-        slack = _ENERGY_SLACK * (1.0 + abs(energy_prev))
-        if energy_new > energy_prev + slack and dt > 2.0 * _DT_MIN:
-            dt = max(dt * 0.5, _DT_MIN)
-            fact = sys_.factor(dt)
-            clean_steps = 0
-            continue
-
-        iterations += 1
-        delta = float(np.max(np.abs(u_new - u))) / dt
-        u = u_new
-        energy_prev = energy_new
-        mu_r = sys_.multiplier(energy_new, nl)
-        if cfg.record_energy and iterations % cfg.record_stride == 0:
-            traces_e.append(energy_new)
-            traces_k.append(eb.kinetic)
-        if delta < cfg.tol:
-            converged = True
-            break
-        clean_steps += 1
-        if clean_steps >= _GROW_EVERY and dt < cfg.dt_max:
-            dt = min(dt * _GROW_FACTOR, cfg.dt_max)
+            new_dt = max(dt * 0.5, _DT_MIN)
+        else:
+            u_new = u_star / math.sqrt(sys_.mass(u_star))
+            eb, nl = sys_.energy(u_new)
+            energy_new = eb.total
+            if cfg.energy_floor is not None and energy_new < cfg.energy_floor:
+                raise EnergyDiverged(
+                    f"energy {energy_new:.6g} fell below the floor {cfg.energy_floor:.3g}",
+                    energy=energy_new,
+                )
+            slack = _ENERGY_SLACK * (1.0 + abs(energy_prev))
+            if energy_new > energy_prev + slack and dt > 2.0 * _DT_MIN:
+                new_dt = max(dt * 0.5, _DT_MIN)
+            else:
+                iterations += 1
+                delta = float(np.max(np.abs(u_new - u))) / dt
+                u = u_new
+                energy_prev = energy_new
+                mu_r = sys_.multiplier(energy_new, nl)
+                if cfg.trace_stride and iterations % cfg.trace_stride == 0:
+                    trace.append(eb)
+                if delta < cfg.tol:
+                    converged = True
+                    break
+                clean_steps += 1
+                if clean_steps >= _GROW_EVERY and dt < cfg.dt_max:
+                    new_dt = min(dt * _GROW_FACTOR, cfg.dt_max)
+        if new_dt != dt:
+            dt = new_dt
             fact = sys_.factor(dt)
             clean_steps = 0
 
-    result = _build_result(u, sys_, iterations, converged)
-    result.energy_trace = traces_e
-    result.kinetic_trace = traces_k
+    result = _build_result(u, sys_, iterations, converged, trace)
     if not converged:
         raise NotConverged(
             f"flow did not reach tol = {cfg.tol:.2g} in {cfg.max_iters} iterations",
@@ -395,7 +393,7 @@ def gradient_flow_minimize(
     return result
 
 
-def _build_result(u_vals, sys_: _System, iterations, converged) -> MinimizerResult:
+def _build_result(u_vals, sys_: _System, iterations, converged, trace) -> MinimizerResult:
     eb, nl = sys_.energy(u_vals)
     mu_f = sys_.fit_multiplier(u_vals)
     return MinimizerResult(
@@ -408,6 +406,8 @@ def _build_result(u_vals, sys_: _System, iterations, converged) -> MinimizerResu
         residual=sys_.residual(u_vals, mu_f),
         breakdown=eb,
         mu_fit=mu_f,
+        energy_trace=[e.total for e in trace],
+        kinetic_trace=[e.kinetic for e in trace],
     )
 
 
@@ -542,9 +542,9 @@ def threshold_probe(
     does, nothing more.
     """
     if cfg is None:
-        cfg = FlowConfig(max_iters=20_000, record_energy=True, record_stride=200)
-    else:
-        cfg = replace(cfg, record_energy=True)
+        cfg = FlowConfig(max_iters=20_000, trace_stride=200)
+    elif not cfg.trace_stride:
+        cfg = replace(cfg, trace_stride=1)
     params = gs.params.with_a(gs.a_star)
     rng = np.random.default_rng(7)
     init = GridFunction(grid, 0.5 + rng.uniform(0.0, 0.5, grid.n_interior))

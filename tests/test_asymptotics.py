@@ -72,7 +72,7 @@ def test_sweep_structure_and_trends(mini_sweep, gs105):
 
 def test_sweep_respects_lemma_bound(mini_sweep, gs105):
     sw, lam = mini_sweep
-    rep = check_limits(sw.records, gs105, lam, mu_eps_rtol=0.5, energy_ratio_threshold=1.0)
+    rep = check_limits(sw.records, gs105, lam)
     assert rep.lemma_bound_ok
     assert rep.energy_decreasing and rep.eps_decreasing
 

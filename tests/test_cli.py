@@ -40,9 +40,11 @@ def test_cli_defaults_match_library():
     cfg = default_config()
     lib = FlowConfig()
     flow = cfg["flow"]
-    assert (flow["dt"], flow["tol"], flow["max_iters"], flow["dt_max"], flow["probe_floor"]) == (
-        lib.dt, lib.tol, lib.max_iters, lib.dt_max, lib.energy_floor
+    assert (flow["dt"], flow["tol"], flow["max_iters"], flow["dt_max"]) == (
+        lib.dt, lib.tol, lib.max_iters, lib.dt_max
     )
+    # the energy floor applies only to minimize at a >= a*
+    assert lib.energy_floor is None and flow["probe_floor"] == -1e3
     sig = inspect.signature(solve_ground_state).parameters
     for key in ("resolution", "r_max", "r0", "shoot_tol"):
         assert cfg["groundstate"][key] == sig[key].default, key
@@ -142,6 +144,36 @@ def test_minimize_solver_failure_exit_code(tmp_path):
         "[flow]\nmax_iters = 3\n"
     )
     assert run_command(["minimize", "--config", str(cfg)]) == 2
+
+
+def test_minimize_above_threshold_fails(tmp_path, capsys):
+    # no minimizer exists for a > a*; on this grid the flow stops at eps ~ h
+    # above the energy floor, and the run must still report failure
+    out = tmp_path / "above"
+    code = run_command(
+        [
+            "minimize", "--a-mult", "1.1", "--resolution", "512",
+            "--gs-resolution", "1024", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "FAIL  no minimizer for a >= a*" in capsys.readouterr().out
+    assert (out / "minimizer.json").exists()
+
+
+def test_verify_all_command(tmp_path, capsys):
+    assert run_command(["verify-all", "--out", str(tmp_path / "va")]) == 0
+    assert "ALL CHECKS PASS" in capsys.readouterr().out
+
+
+def test_gn_check_command(tmp_path):
+    code = run_command(
+        [
+            "gn-check", "--n-random", "50", "--gs-resolution", "1024",
+            "--resolution", "512", "--out", str(tmp_path / "gn"),
+        ]
+    )
+    assert code == 0
 
 
 def test_unwritable_output_dir(tmp_path):

@@ -8,7 +8,6 @@ from critlab.quadrature import (
     hat_weights,
     hermite_coeffs,
     integrate_cells,
-    linear_coeffs,
 )
 
 
@@ -47,14 +46,6 @@ def test_singular_weight_with_nonuniform_cells():
     val = integrate_cells(r, hermite_coeffs(r, f, df), -0.5)
     exact = quad(lambda t: t**-0.5 * np.exp(-t), r[0], 3.0, epsabs=1e-14, limit=300)[0]
     assert val == pytest.approx(exact, abs=5e-11)
-
-
-def test_linear_coeffs_reproduce_trapezoid():
-    r = np.linspace(0.0, 2.0, 33)
-    f = r**2
-    val = integrate_cells(r, linear_coeffs(r, f), 0.0)
-    # integral of the piecewise-linear interpolant = trapezoid rule
-    assert val == pytest.approx(np.trapezoid(f, r), rel=1e-14)
 
 
 def test_cell_weight_integrals():

@@ -1,0 +1,41 @@
+"""The option surface: every settable value is a deliberate choice.
+
+Settable values are the defaulted parameters of the public functions each
+critlab module defines, plus the fields of FlowConfig.  Adding one means
+changing the count here on purpose.
+"""
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import critlab
+from critlab import FlowConfig
+
+MAX_SETTABLE = 31
+
+
+def _defaulted_parameters():
+    out = []
+    for info in pkgutil.iter_modules(critlab.__path__):
+        mod = importlib.import_module(f"critlab.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or not inspect.isfunction(obj):
+                continue
+            if obj.__module__ != mod.__name__:
+                continue
+            for p in inspect.signature(obj).parameters.values():
+                if p.default is not inspect.Parameter.empty:
+                    out.append(f"{info.name}.{name}({p.name})")
+    return out
+
+
+def test_flow_config_fields():
+    names = [f.name for f in dataclasses.fields(FlowConfig)]
+    assert names == ["dt", "tol", "max_iters", "dt_max", "energy_floor", "trace_stride"]
+
+
+def test_settable_values_bounded():
+    params = _defaulted_parameters()
+    total = len(params) + len(dataclasses.fields(FlowConfig))
+    assert total <= MAX_SETTABLE, params

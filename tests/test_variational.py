@@ -241,7 +241,7 @@ def test_flow_energy_monotone_trace():
     grid = build_grid(Interval(-1.0, 1.0), 512)
     rng = np.random.default_rng(3)
     init = GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior))
-    cfg = FlowConfig(record_energy=True, max_iters=20000)
+    cfg = FlowConfig(trace_stride=1, max_iters=20000)
     res = gradient_flow_minimize(init, GNParams(1, 0.5, a=0.0), None, cfg)
     trace = np.array(res.energy_trace)
     slack = 1e-9 * (1.0 + np.abs(trace[:-1]))
@@ -251,7 +251,7 @@ def test_flow_energy_monotone_trace():
 def test_flow_probe_mode_diverges(gs105):
     grid = build_grid(Interval(-4.0, 4.0), 512)
     init = make_trial_function(gs105, grid, 10.0, R=1.0).values
-    cfg = FlowConfig(probe_mode=True, energy_floor=-100.0, max_iters=100000)
+    cfg = FlowConfig(energy_floor=-100.0, max_iters=100000)
     with pytest.raises(EnergyDiverged) as exc_info:
         gradient_flow_minimize(init, gs105.params.with_a(1.1 * gs105.a_star), None, cfg)
     assert exc_info.value.energy < -100.0
@@ -359,7 +359,7 @@ def test_multistart_uniqueness(gs105):
 def test_threshold_probe_reports(gs105):
     grid = build_grid(Interval(-8.0, 8.0), 512)
     rep = threshold_probe(gs105, PotentialSpec(p0=2.0), grid,
-                          FlowConfig(max_iters=2000, record_stride=100))
+                          FlowConfig(max_iters=2000, trace_stride=100))
     assert rep.iterations > 0
     assert len(rep.kinetic_trace) > 0
     assert rep.final_kinetic > 0.0
