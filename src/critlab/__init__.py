@@ -8,7 +8,6 @@ from .errors import (
     ConfigError,
     CritlabError,
     DomainTooSmall,
-    EnergyDiverged,
     InsufficientSpan,
     IoFailure,
     IterationStall,

@@ -85,16 +85,11 @@ _SCHEMA = {
     "groundstate": {
         "resolution": (int, "4096"),
         "r_max": (float, "30.0"),
-        "r0": (float, "1e-4"),
         "shoot_tol": (float, "1e-13"),
-        "identity_tol": (float, "1e-6"),
     },
     "flow": {
-        "dt": (float, repr(FlowConfig.dt)),
         "tol": (float, repr(FlowConfig.tol)),
         "max_iters": (int, repr(FlowConfig.max_iters)),
-        "dt_max": (float, repr(FlowConfig.dt_max)),
-        "probe_floor": (float, "-1e3"),  # energy floor of minimize at a >= a*
         "seed": (int, "12345"),
     },
     "sweep": {
@@ -228,19 +223,12 @@ def _solve_gs(cfg) -> GroundStateData:
         shoot_tol=g["shoot_tol"],
         r_max=g["r_max"],
         resolution=g["resolution"],
-        r0=g["r0"],
     )
 
 
-def _flow_cfg(cfg, above_threshold=False) -> FlowConfig:
+def _flow_cfg(cfg) -> FlowConfig:
     f = cfg["flow"]
-    return FlowConfig(
-        dt=f["dt"],
-        tol=f["tol"],
-        max_iters=f["max_iters"],
-        dt_max=f["dt_max"],
-        energy_floor=f["probe_floor"] if above_threshold else None,
-    )
+    return FlowConfig(tol=f["tol"], max_iters=f["max_iters"])
 
 
 def _resolve_a(cfg, gs: GroundStateData) -> float:
@@ -273,7 +261,7 @@ def _print_check(name: str, ok: bool, detail: str = "") -> bool:
 
 def cmd_ground_state(cfg, args) -> int:
     gs = _solve_gs(cfg)
-    rep = verify_identities(gs, cfg["groundstate"]["identity_tol"])
+    rep = verify_identities(gs)
     print(f"a_star = {fmt(gs.a_star)}")
     print(f"l2_sq = {fmt(gs.l2_sq)}  grad_sq = {fmt(gs.grad_sq)}  nonlinear = {fmt(gs.nonlinear_int)}")
     ok = _print_check(
@@ -302,9 +290,8 @@ def cmd_minimize(cfg, args) -> int:
     spec = _spec(cfg)
     a = _resolve_a(cfg, gs)
     params = gs.params.with_a(a)
-    above = a >= gs.a_star
     init = _default_init(cfg, gs, grid, a)
-    res = gradient_flow_minimize(init, params, spec, _flow_cfg(cfg, above_threshold=above))
+    res = gradient_flow_minimize(init, params, spec, _flow_cfg(cfg))
     print(f"a = {fmt(a)}  (a/a_star = {fmt(a / gs.a_star)})")
     print(
         f"energy = {fmt(res.energy)}  mu = {fmt(res.mu)}  eps = {fmt(res.eps)}  "
@@ -318,7 +305,7 @@ def cmd_minimize(cfg, args) -> int:
         f"mu - mu_fit = {res.mu - res.mu_fit:.3e}",
     )
     ok &= _print_check("stationarity", res.residual < 1e-5, f"residual = {res.residual:.3e}")
-    if above:
+    if a >= gs.a_star:
         # with V(0) = 0, as for every critlab potential, none exists for a >= a*
         ok &= _print_check(
             "no minimizer for a >= a*",
@@ -536,7 +523,7 @@ def cmd_verify_all(cfg, args) -> int:
     checks: list[bool] = []
     params = GNParams(1, 0.5)
     gs = solve_ground_state(params, resolution=2048)
-    rep = verify_identities(gs, 1e-6)
+    rep = verify_identities(gs)
     checks.append(
         _print_check(
             "groundstate identities (1, 0.5)",

@@ -14,11 +14,13 @@ class BracketFailure(CritlabError):
 
 
 class SingularStartup(CritlabError):
-    """Startup series at r0 is not a valid expansion for these parameters."""
+    """Startup radius from (N, b), or the integrands near it, leave double
+    precision (b too close to 2); there is no setting to change."""
 
 
 class TailUnresolved(CritlabError):
-    """Exponential tail contributes more than the requested accuracy."""
+    """Exponential tail contributes more than the requested accuracy (a moment's
+    truncated tail, or the term the ground state's linear tail drops)."""
 
 
 class IterationStall(CritlabError):
@@ -58,18 +60,6 @@ class NotConverged(CritlabError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class EnergyDiverged(CritlabError):
-    """Flow energy fell below ``FlowConfig.energy_floor``.
-
-    `critlab minimize` sets the floor (``[flow] probe_floor``) only when
-    a >= a*.  Carries the energy of the step that crossed it on ``energy``.
-    """
-
-    def __init__(self, message, energy=None):
-        super().__init__(message)
-        self.energy = energy
 
 
 class NonPositive(CritlabError):

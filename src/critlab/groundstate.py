@@ -6,11 +6,19 @@ radius r0 (with a matched series through the singular weight), bisects on
 the central amplitude, and replaces the far tail by the matched asymptotic
 form K r^{-(N-1)/2} e^{-r} (1 + a1/r + a2/r^2) before the unstable mode can
 pollute it.
+
+The startup radius r0 = (1e-5 (2-b)(N-b))^{1/(2-b)} is where the series'
+first correction |A| r^{2-b} is 1e-5 of the starting amplitude 1 (at the
+solved amplitude s*, s*^g times that).  Past about b = 1.95 (N = 2, 3)
+r0^-b leaves double precision.  The matched tail drops the term r^{-b} q^g,
+which stops being small as g -> 0; the solve raises TailUnresolved once
+that could move the mass identity by the identity tolerance.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +36,10 @@ _GRADING_PER_H = 2.73
 _GRADING_CAP = 0.08
 _TAIL_SWITCH_BASE = 3e-6  # switch to the matched tail once q/s falls below this
 _S_GUESS = 1.0  # central amplitude the shooting bracket starts from
-_S_MIN, _S_MAX = 1e-4, 1e4  # amplitudes the bracket search may reach
+_STARTUP_ETA = 1e-5  # first series correction at r0, relative to _S_GUESS
+_S_MIN, _S_MAX = 1e-20, 1e4  # amplitudes the bracket search tries; s* is 5e-19 at (2, 1.9)
 _MOMENT_REL_TOL = 1e-6  # largest truncated-tail share of a moment
+_IDENTITY_TOL = 1e-6  # largest relative residual verify_identities passes
 _PROBE_MAX_ITERS = 60
 _PROBE_TOL = 1e-11  # relative change of the Rayleigh quotient at convergence
 
@@ -359,12 +369,13 @@ def solve_ground_state(
     shoot_tol: float = 1e-13,
     r_max: float = 30.0,
     resolution: int = 4096,
-    r0: float = 1e-4,
 ) -> GroundStateData:
     """Shoot for the positive decaying radial profile and derive its constants.
 
     ``shoot_tol`` is the relative bisection width on the central amplitude;
-    ``resolution`` sets the uniform march step h = r_max / resolution.
+    ``resolution`` sets the uniform march step h = r_max / resolution.  The
+    startup radius comes from (N, b) and is recorded as ``meta["r0"]``, the
+    tail's estimated shift of the mass identity as ``meta["tail_error"]``.
     """
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq
@@ -377,14 +388,12 @@ def solve_ground_state(
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
 
-    # startup series must actually be a small correction at r0
-    qs0, _ = startup_eval(N, b, _S_GUESS, r0)
-    if not np.isfinite(qs0) or abs(qs0 - _S_GUESS) > 0.05 * _S_GUESS:
+    r0 = (_STARTUP_ETA * (2.0 - b) * (N - b)) ** (1.0 / (2.0 - b))
+    if not r0 > sys.float_info.max ** (-1.0 / b):  # the march evaluates r0^-b
         raise SingularStartup(
-            f"startup series at r0={r0} is not a small correction for b={b} "
-            f"(relative size {abs(qs0 - _S_GUESS) / _S_GUESS:.3g}); decrease r0"
+            f"startup radius r0 = {r0:.3g} for N={N}, b={b} is beyond double precision "
+            f"(r0 underflows or r0^-b overflows)"
         )
-
     h = r_max / resolution
 
     # one loop classifies and narrows: halve or double s from the guess
@@ -397,12 +406,12 @@ def solve_ground_state(
         else:
             s_lo = s
         if s_lo is None or s_hi is None:
-            if not _S_MIN < s < _S_MAX:
+            s = s * 0.5 if s_lo is None else s * 2.0
+            if not _S_MIN <= s <= _S_MAX:
                 raise BracketFailure(
                     f"no sign change of the shooting discriminant for N={N}, b={b} "
                     f"over amplitudes [{_S_MIN:g}, {_S_MAX:g}]"
                 )
-            s = s * 0.5 if s_lo is None else s * 2.0
         elif s_hi - s_lo <= shoot_tol * s_hi:
             break
         else:
@@ -452,7 +461,20 @@ def solve_ground_state(
         tail_start=tail_start,
     )
 
-    l2_sq, grad_sq, nl_int = profile_integrals(params, profile)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        l2_sq, grad_sq, nl_int = profile_integrals(params, profile)
+    if not math.isfinite(l2_sq + grad_sq + nl_int):
+        raise SingularStartup(f"profile integrals overflow near r0 = {r0:.3g} for N={N}, b={b}")
+    # the tail drops nu = r^-b q^g against q, so it decays too fast by about
+    # nu/2 and its mass S rk^{N-1} qk^2 / 2 is short by nu/2 of itself; the mass
+    # identity moves by that over beta^2 = g/2 (1.4-1.5x the residual, measured)
+    nu = rk ** (-b) * values[k] ** g
+    tail_error = nu * surface_area(N) * rk ** (N - 1) * values[k] ** 2 / (2 * g * l2_sq)
+    if tail_error > _IDENTITY_TOL:
+        raise TailUnresolved(
+            f"the linear tail from r={rk:.3g} drops a term {nu:.2g} of q, moving the mass identity "
+            f"by {tail_error:.2g} (> {_IDENTITY_TOL:g}) for N={N}, b={b}: b is too near min(2, N)"
+        )
     gs = GroundStateData(
         params=params,
         profile=profile,
@@ -469,6 +491,7 @@ def solve_ground_state(
             "r0": r0,
             "h": h,
             "tail_status": status,
+            "tail_error": tail_error,
         },
     )
     return gs
@@ -569,12 +592,13 @@ class IdentityReport:
     passed: bool
 
 
-def verify_identities(gs: GroundStateData, tol: float = 1e-6) -> IdentityReport:
+def verify_identities(gs: GroundStateData) -> IdentityReport:
     """Check grad = mass/beta_sq = nonlinear/(1+beta_sq) on the solved profile."""
     bs = gs.params.beta_sq
     r1 = abs(gs.grad_sq - gs.l2_sq / bs) / gs.l2_sq
     r2 = abs(gs.grad_sq - gs.nonlinear_int / (1.0 + bs)) / gs.grad_sq
     r3 = float(gs.meta.get("shoot_residual", np.nan))
+    tol = _IDENTITY_TOL
     passed = bool(r1 < tol and r2 < tol and r3 < tol)
     return IdentityReport(r1, r2, r3, tol, passed)
 
@@ -651,22 +675,26 @@ def linearized_probe(gs: GroundStateData) -> LinearizedProbe:
     residual of the dilation-direction identity.
 
     The operator is the P1 weak form A = K + D - (1 + 2 beta^2) Wb q^{2 beta^2}
-    on the profile grid (K the grids' stiffness, D the lumped masses with
-    the [0, r0] volume on the first node), so (A v)_i ~ D_i (L v)(r_i).
+    on the profile grid (K the grids' stiffness, D and Wb the lumped masses
+    with the [0, r0] volume and singular weight on the first node, where
+    q = s), so (A v)_i ~ D_i (L v)(r_i).
     The eigenvalue comes from Rayleigh-quotient inverse iteration started
     at the profile itself (whose Rayleigh quotient is negative, so a
     negative smallest eigenvalue is certain before any iteration).  The
     quotient sums v . K v from the conductances: the stiffness rows of the
     fine startup cells are large, and K v would cancel away digits there.
     """
-    N = gs.params.N
+    N, b = gs.params.N, gs.params.b
     g = 2.0 * gs.params.beta_sq
     grid = _profile_grid(gs)
     inner = grid.interior
+    S, r0 = surface_area(N), grid.nodes[0]
     Dm = hat_masses(grid, 0.0)[inner].copy()
-    Dm[0] += surface_area(N) * grid.nodes[0] ** N / N  # lump the [0, r0] volume onto the first node
+    Dm[0] += S * r0**N / N  # lump the [0, r0] volume onto the first node
     x = gs.profile.values[inner]
-    shift = Dm - (1.0 + g) * hat_masses(grid, -gs.params.b)[inner] * x**g
+    shift = Dm - (1.0 + g) * hat_masses(grid, -b)[inner] * x**g
+    # and the [0, r0] singular weight, with q = s on it
+    shift[0] -= (1.0 + g) * S * gs.profile.startup_amplitude**g * r0 ** (N - b) / (N - b)
     bands = stiffness_bands(grid)
     kappa = kinetic_conductances(grid)
 

@@ -97,7 +97,7 @@ def test_c01_groundstate_identities():
         residuals = []
         for res in (1024, 2048, 4096):
             gs = solve_ground_state(GNParams(N, b), resolution=res)
-            rep = verify_identities(gs, tol=1e-6)
+            rep = verify_identities(gs)
             residuals.append(max(rep.grad_residual, rep.nonlinear_residual))
         order = math.log2(residuals[0] / residuals[1])
         ok &= residuals[-1] < 1e-6 and order > 3.0 and residuals[1] > residuals[2]

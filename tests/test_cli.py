@@ -40,13 +40,9 @@ def test_cli_defaults_match_library():
     cfg = default_config()
     lib = FlowConfig()
     flow = cfg["flow"]
-    assert (flow["dt"], flow["tol"], flow["max_iters"], flow["dt_max"]) == (
-        lib.dt, lib.tol, lib.max_iters, lib.dt_max
-    )
-    # the energy floor applies only to minimize at a >= a*
-    assert lib.energy_floor is None and flow["probe_floor"] == -1e3
+    assert (flow["tol"], flow["max_iters"]) == (lib.tol, lib.max_iters)
     sig = inspect.signature(solve_ground_state).parameters
-    for key in ("resolution", "r_max", "r0", "shoot_tol"):
+    for key in ("resolution", "r_max", "shoot_tol"):
         assert cfg["groundstate"][key] == sig[key].default, key
 
 
@@ -63,6 +59,13 @@ def test_config_rejects_unknown_keys(tmp_path):
         parse_config("[problem]\nn = 1\nwhatever = 2\n")
     with pytest.raises(ConfigError):
         parse_config("[mystery]\nx = 1\n")
+    # keys whose values are now computed or fixed
+    for sec, key in [
+        ("groundstate", "r0"), ("groundstate", "identity_tol"),
+        ("flow", "dt"), ("flow", "dt_max"), ("flow", "probe_floor"),
+    ]:
+        with pytest.raises(ConfigError):
+            parse_config(f"[{sec}]\n{key} = 1\n")
     bad = tmp_path / "bad.cfg"
     bad.write_text("[problem]\nn = not_a_number\n")
     assert run_command(["ground-state", "--config", str(bad)]) == 1
@@ -146,13 +149,14 @@ def test_minimize_solver_failure_exit_code(tmp_path):
     assert run_command(["minimize", "--config", str(cfg)]) == 2
 
 
-def test_minimize_above_threshold_fails(tmp_path, capsys):
-    # no minimizer exists for a > a*; on this grid the flow stops at eps ~ h
-    # above the energy floor, and the run must still report failure
+@pytest.mark.parametrize("resolution", ["512", "2048"])
+def test_minimize_above_threshold_fails(tmp_path, capsys, resolution):
+    # no minimizer exists for a > a*; the flow stops at eps ~ h on any
+    # grid, and the run must report failure and still write its archive
     out = tmp_path / "above"
     code = run_command(
         [
-            "minimize", "--a-mult", "1.1", "--resolution", "512",
+            "minimize", "--a-mult", "1.1", "--resolution", resolution,
             "--gs-resolution", "1024", "--out", str(out),
         ]
     )

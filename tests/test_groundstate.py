@@ -50,7 +50,7 @@ def test_identity_ratio_three_dims(gs31):
 
 
 def test_identities_pass_and_detect_scaling(gs105):
-    rep = verify_identities(gs105, tol=1e-6)
+    rep = verify_identities(gs105)
     assert rep.passed
     assert rep.grad_residual < 1e-6 and rep.nonlinear_residual < 1e-6
     # scaling the profile by 1.01 breaks the inhomogeneous identity:
@@ -63,7 +63,7 @@ def test_identities_pass_and_detect_scaling(gs105):
         grad_sq=gs105.grad_sq * c**2,
         nonlinear_int=gs105.nonlinear_int * c**power,
     )
-    rep2 = verify_identities(broken, tol=1e-6)
+    rep2 = verify_identities(broken)
     assert not rep2.passed
     assert rep2.nonlinear_residual > 0.02
 
@@ -95,8 +95,9 @@ def test_shooting_bracket_is_monotone(gs105):
     params = gs105.params
     h = gs105.meta["h"]
     g = 2.0 * params.beta_sq
-    assert _classify(params.N, params.b, g, s_hi * 1.0001, 1e-4, h, 30.0) == "cross"
-    assert _classify(params.N, params.b, g, s_lo * 0.9999, 1e-4, h, 30.0) in ("diverge", "end")
+    r0 = gs105.profile.nodes[0]
+    assert _classify(params.N, params.b, g, s_hi * 1.0001, r0, h, 30.0) == "cross"
+    assert _classify(params.N, params.b, g, s_lo * 0.9999, r0, h, 30.0) in ("diverge", "end")
 
 
 def test_moment_definition_and_oracle(gs105):
@@ -121,8 +122,42 @@ def test_moment_tail_unresolved(gs105):
 
 
 def test_singular_startup_detected():
-    with pytest.raises(SingularStartup):
+    # near b = 2 the startup radius leaves double precision
+    for N in (2, 3):
+        with pytest.raises(SingularStartup, match=f"N={N}, b=1.98"):
+            solve_ground_state(GNParams(N, 1.98), resolution=1024, shoot_tol=1e-9, r_max=25.0)
+    # just inside that limit r0 is 2.5e-126 and the integrands overflow there
+    with pytest.raises(SingularStartup, match="integrals overflow"):
         solve_ground_state(GNParams(3, 1.95), resolution=1024, shoot_tol=1e-9, r_max=25.0)
+    # s* lies below the smallest amplitude the bracket search tries (1e-20);
+    # searched further down, the integrals overflow as at (3, 1.95)
+    with pytest.raises(BracketFailure, match=r"\[1e-20, 10000\]"):
+        solve_ground_state(GNParams(2, 1.95), resolution=1024, shoot_tol=1e-9, r_max=25.0)
+
+
+@pytest.mark.parametrize("N, b", [(3, 1.85), (3, 1.9), (4, 1.65)])
+def test_large_b_tail_refused(N, b):
+    # the linear tail drops r^-b q^g, which stops being small as g -> 0:
+    # these profiles miss the mass identity by 1.8e-6 to 1.5e-4 at every h
+    with pytest.raises(TailUnresolved, match=f"N={N}, b={b}"):
+        solve_ground_state(GNParams(N, b), resolution=4096)
+
+
+@pytest.mark.parametrize(
+    "N, b, oracle",
+    # (2, 1.75) and (2, 1.85) have s* = 8.5e-5 and 1.6e-10, below the
+    # amplitudes the oracle brackets
+    [(2, 1.5, True), (3, 1.5, True), (2, 1.75, False), (3, 1.75, True), (2, 1.85, False)],
+)
+def test_large_b_identities_and_oracle(N, b, oracle):
+    gs = solve_ground_state(GNParams(N, b), resolution=4096)
+    rep = verify_identities(gs)
+    assert rep.passed
+    assert max(rep.grad_residual, rep.nonlinear_residual) < 1e-6
+    if oracle:
+        frozen = GROUND_STATES[(N, b)]
+        assert gs.a_star == pytest.approx(frozen["a_star"], rel=1e-7)
+        assert gs.l2_sq == pytest.approx(frozen["l2_sq"], rel=1e-7)
 
 
 def test_bracket_failure(monkeypatch):
@@ -154,6 +189,19 @@ def test_linearized_probe(gs31):
         ),
     )
     assert scaling_direction_residual(doubled) > 0.1
+
+
+def test_linearized_probe_independent_of_startup_radius(monkeypatch):
+    # the [0, r0] volume and singular weight are lumped onto the first node,
+    # so moving r0 over two decades leaves the eigenvalue in place
+    import critlab.groundstate as G
+
+    eigenvalues = []
+    for eta in (1e-5, 1e-8):
+        monkeypatch.setattr(G, "_STARTUP_ETA", eta)
+        gs = solve_ground_state(GNParams(1, 0.5), resolution=4096)
+        eigenvalues.append(linearized_probe(gs).eigenvalue)
+    assert eigenvalues[0] == pytest.approx(eigenvalues[1], rel=1e-4)
 
 
 def test_linearized_probe_converges_in_one_dimension():

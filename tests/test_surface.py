@@ -12,7 +12,7 @@ import pkgutil
 import critlab
 from critlab import FlowConfig
 
-MAX_SETTABLE = 31
+MAX_SETTABLE = 26
 
 
 def _defaulted_parameters():
@@ -32,7 +32,7 @@ def _defaulted_parameters():
 
 def test_flow_config_fields():
     names = [f.name for f in dataclasses.fields(FlowConfig)]
-    assert names == ["dt", "tol", "max_iters", "dt_max", "energy_floor", "trace_stride"]
+    assert names == ["tol", "max_iters", "trace_stride"]
 
 
 def test_settable_values_bounded():
