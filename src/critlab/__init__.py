@@ -26,7 +26,6 @@ from .grids import (
     Grid,
     GridFunction,
     Interval,
-    apply_dirichlet_laplacian,
     build_grid,
     dirichlet_form,
     integrate,
@@ -56,18 +55,13 @@ from .variational import (
     EnergyBreakdown,
     FlowConfig,
     MinimizerResult,
-    TrialFunction,
     UniquenessReport,
     evaluate_energy,
-    euler_lagrange_residual,
-    fit_multiplier,
     gn_quotient,
     gradient_flow_minimize,
-    lagrange_multiplier,
     make_trial_function,
     multistart_uniqueness,
     nonexistence_probe,
-    threshold_probe,
     trial_quotient,
 )
 from .asymptotics import (

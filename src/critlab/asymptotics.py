@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpan, NotConverged
-from .grids import Grid, GridFunction, mass, normalize_mass
+from .errors import InsufficientSpan, MassViolation, NotConverged
+from .grids import Grid, GridFunction, integrate_nodal, mass, normalize_mass
 from .groundstate import GroundStateData
-from .params import surface_area
 from .potentials import LambdaConstant, PotentialSpec, eval_potential
 from .variational import FlowConfig, MinimizerResult, gradient_flow_minimize
 
@@ -98,13 +97,8 @@ def rescale_minimizer(result: MinimizerResult, gs: GroundStateData):
     lim = limit_profile(gs, y)
     diff = w - lim
     err_sup = float(np.max(np.abs(diff)))
-    if grid.is_ball:
-        nu = gs.params.N - 1.0
-        err_l2 = math.sqrt(
-            surface_area(gs.params.N) * float(np.trapezoid(diff * diff * np.abs(y) ** nu, y))
-        )
-    else:
-        err_l2 = math.sqrt(float(np.trapezoid(diff * diff, y)))
+    # the grid's P1 quadrature in x, with dy = dx / eps in each dimension
+    err_l2 = math.sqrt(integrate_nodal(grid, diff * diff) / eps**grid.domain.dimension)
     return RescaledProfile(nodes=y, values=w, scale=eps), (err_l2, err_sup)
 
 
@@ -118,7 +112,7 @@ def _reverify(res: MinimizerResult) -> None:
     """Re-check that a sweep record kept unit mass."""
     m = mass(res.u)
     if abs(m - 1.0) > 1e-8:
-        raise RuntimeError(f"sweep record lost unit mass: {m - 1.0:.3e}")
+        raise MassViolation(f"sweep record lost unit mass: {m - 1.0:.3e}")
 
 
 def _transport_init(u_prev: GridFunction, scale: float) -> GridFunction:
@@ -219,16 +213,6 @@ class ScalingFit:
     gap_decades: float
 
 
-def predicted_energy_prefactor(gs: GroundStateData, lam: LambdaConstant) -> float:
-    """Energy law at unit gap: the trial bound is its leading term."""
-    return lemma_energy_bound(1.0, gs, lam)
-
-
-def predicted_eps_prefactor(gs: GroundStateData, lam: LambdaConstant) -> float:
-    """Concentration-scale law at unit gap."""
-    return predicted_eps(1.0, gs, lam)
-
-
 def _fit_log_law(gaps, values, predicted_exponent, predicted_prefactor, exp_band):
     x = np.log(gaps)
     y = np.log(values)
@@ -278,14 +262,14 @@ def fit_scaling_laws(
         gaps,
         np.array([r.energy for r in recs]),
         p / (p + 2.0),
-        predicted_energy_prefactor(gs, lam),
+        lemma_energy_bound(1.0, gs, lam),  # the trial bound is the law's leading term
         _ENERGY_EXP_BAND,
     )
     eps_fit = _fit_log_law(
         gaps,
         np.array([r.eps for r in recs]),
         1.0 / (p + 2.0),
-        predicted_eps_prefactor(gs, lam),
+        predicted_eps(1.0, gs, lam),
         _EPS_EXP_BAND,
     )
     return ScalingFit(energy=energy_fit, eps=eps_fit, n_used=len(recs), gap_decades=decades)

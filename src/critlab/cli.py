@@ -25,7 +25,6 @@ from .params import GNParams
 from .potentials import PotentialSpec, compute_lambda, validate_assumptions
 from .variational import (
     FlowConfig,
-    fit_multiplier,
     fit_tau_square_coefficient,
     gn_quotient,
     gradient_flow_minimize,
@@ -181,13 +180,6 @@ def load_config(path: str | None) -> dict:
 # config -> objects
 # ----------------------------------------------------------------------
 
-def _params(cfg, a=0.0) -> GNParams:
-    try:
-        return GNParams(cfg["problem"]["n"], cfg["problem"]["b"], a)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _domain(cfg):
     d = cfg["domain"]
     if d["kind"] == "interval":
@@ -219,7 +211,7 @@ def _spec(cfg) -> PotentialSpec | None:
 def _solve_gs(cfg) -> GroundStateData:
     g = cfg["groundstate"]
     return solve_ground_state(
-        _params(cfg),
+        GNParams(cfg["problem"]["n"], cfg["problem"]["b"]),
         shoot_tol=g["shoot_tol"],
         r_max=g["r_max"],
         resolution=g["resolution"],
@@ -577,7 +569,7 @@ def cmd_verify_all(cfg, args) -> int:
     a = 0.5 * gs.a_star
     initc = asy.limit_profile_start(gs, grid, asy.predicted_eps(gs.a_star - a, gs, lam))
     resm = gradient_flow_minimize(initc, gs.params.with_a(a), spec, FlowConfig())
-    mu_dev = abs(resm.mu - fit_multiplier(resm.u, gs.params.with_a(a), spec))
+    mu_dev = abs(resm.mu - resm.mu_fit)
     checks.append(
         _print_check("multiplier identity", mu_dev <= 1e-3 * (1 + abs(resm.mu)), f"dev {mu_dev:.2e}")
     )
@@ -642,7 +634,8 @@ def run_command(argv) -> int:
         if args.out is None and cfg["output"]["dir"]:
             args.out = cfg["output"]["dir"]
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # critlab raises ValueError only for out-of-range arguments
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NotConverged as exc:

@@ -142,15 +142,6 @@ class GridFunction:
 # weights shared by quadrature, energies and flows
 # ----------------------------------------------------------------------
 
-def check_weight_exponent(grid: Grid, weight_exponent: float) -> None:
-    limit = -min(2.0, float(grid.domain.dimension))
-    if weight_exponent <= limit:
-        raise NonIntegrableWeight(
-            f"weight exponent {weight_exponent} not integrable near 0 in dimension "
-            f"{grid.domain.dimension} (needs > {limit})"
-        )
-
-
 def _memo(grid: Grid, key, build) -> np.ndarray:
     """Per-grid cached array, built once and handed out read-only."""
     arr = grid.cache.get(key)
@@ -194,7 +185,12 @@ def hat_masses(grid: Grid, weight_exponent: float) -> np.ndarray:
     full N-dimensional integral (sphere factor included for balls).  Built
     once per grid and exponent; the returned array is read-only.
     """
-    check_weight_exponent(grid, weight_exponent)
+    limit = -min(2.0, float(grid.domain.dimension))
+    if weight_exponent <= limit:
+        raise NonIntegrableWeight(
+            f"weight exponent {weight_exponent} not integrable near 0 in dimension "
+            f"{grid.domain.dimension} (needs > {limit})"
+        )
     alpha = float(weight_exponent)
     if grid.is_ball:
         N = grid.domain.N
@@ -287,14 +283,3 @@ def dirichlet_form(g: GridFunction) -> float:
     """Kinetic integral of |grad g|^2 (P1 Dirichlet form u . K u)."""
     return _dot(apply_stiffness(g.grid, g.values), g.values)
 
-
-def apply_dirichlet_laplacian(g: GridFunction) -> GridFunction:
-    """Negative Laplacian of g with Dirichlet rows eliminated.
-
-    Weak (lumped P1) realization: (-Lap u)_i = (K u)_i / m_i with K the
-    stiffness and m the unweighted hat masses; in radial reduction this is
-    -(u'' + (N-1)/r u') with the r = 0 node closed by the regularity
-    condition.
-    """
-    grid = g.grid
-    return g.with_values(apply_stiffness(grid, g.values) / hat_masses(grid, 0.0)[grid.interior])

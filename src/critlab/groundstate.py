@@ -356,10 +356,6 @@ def _march(N, b, g, s, r0, h, r_max, store):
     return status
 
 
-def _classify(N, b, g, s, r0, h, r_max):
-    return _march(N, b, g, s, r0, h, r_max, store=False)
-
-
 # ----------------------------------------------------------------------
 # main solve
 # ----------------------------------------------------------------------
@@ -401,7 +397,7 @@ def solve_ground_state(
     s_lo = s_hi = None
     s = _S_GUESS
     while True:
-        if _classify(N, b, g, s, r0, h, r_max) == "cross":
+        if _march(N, b, g, s, r0, h, r_max, store=False) == "cross":
             s_hi = s
         else:
             s_lo = s
@@ -632,7 +628,7 @@ def _nonuniform_second_deriv(r, f):
     return 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) / (hm * hp * (hm + hp))
 
 
-def scaling_direction_residual(gs: GroundStateData) -> float:
+def _dilation_residual(gs: GroundStateData, grid: Grid) -> float:
     """Relative weighted-L2 residual of L(N/2 q + r q') + 2q = 0.
 
     Strong pointwise form: the singular potential is evaluated exactly at
@@ -641,10 +637,6 @@ def scaling_direction_residual(gs: GroundStateData) -> float:
     profile or wrong operator coefficients shows up at order one; a
     converged solve sits at the reconstruction floor ~ O(h^2).
     """
-    return _dilation_residual(gs, _profile_grid(gs))
-
-
-def _dilation_residual(gs: GroundStateData, grid: Grid) -> float:
     params = gs.params
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq

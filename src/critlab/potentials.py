@@ -84,30 +84,15 @@ def eval_potential(spec: PotentialSpec, x, domain: Domain | None = None):
 
 
 def limit_factor(spec: PotentialSpec) -> float:
-    """L0 = lim_{x->0} h(x) prod |x - x_i|^{p_i}.
+    """L0 = lim_{x->0} h(x) prod |x - x_i|^{p_i} = h(0) prod |x_i|^{p_i}.
 
-    Closed form when h is; for tabulated h the limit is Richardson-
-    extrapolated along a dyadic sequence from both sides.
+    Every h kind (constant, polynomial in |x|, piecewise linear) is
+    continuous at 0, and the zeros lie away from the origin.
     """
     prod = 1.0
     for xi, pi in spec.zeros:
         prod *= abs(xi) ** pi
-    if spec.h_kind == "constant":
-        return spec.h_params[0] * prod
-    if spec.h_kind == "poly_abs":
-        return spec.h_params[0] * prod
-
-    def phi(x):
-        v = float(spec.eval_h(np.asarray(x)))
-        for xi, pi in spec.zeros:
-            v *= abs(x - xi) ** pi
-        return v
-
-    x0 = 1e-2
-    vals = np.array([0.5 * (phi(x0 / 2**k) + phi(-x0 / 2**k)) for k in range(6)])
-    while vals.size > 1:  # first-order Richardson cascade
-        vals = 2.0 * vals[1:] - vals[:-1]
-    return float(vals[0])
+    return float(spec.eval_h(0.0)) * prod
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -61,13 +61,6 @@ class EnergyBreakdown:
     total: float
 
 
-def sample_potential(spec: PotentialSpec | None, grid: Grid) -> np.ndarray:
-    """Nodal potential values at interior nodes (zero when spec is None)."""
-    if spec is None:
-        return np.zeros(grid.n_interior)
-    return eval_potential(spec, grid.interior_nodes)
-
-
 class _System:
     """The discrete problem on one grid: the only place its terms are summed.
 
@@ -82,7 +75,9 @@ class _System:
         self.params = params
         self.W = hat_masses(grid, 0.0)[grid.interior]
         self.Wb = hat_masses(grid, -params.b)[grid.interior]
-        self.V = sample_potential(spec, grid)
+        self.V = (
+            np.zeros(grid.n_interior) if spec is None else eval_potential(spec, grid.interior_nodes)
+        )
         self.WV = self.W * self.V
         self.aWb = params.a * self.Wb
         self.power = params.nonlinear_power
@@ -155,24 +150,6 @@ def gn_quotient(u: GridFunction, params: GNParams) -> float:
     return dirichlet_form(u) * m**params.beta_sq / sys_.interaction(u.values)
 
 
-def lagrange_multiplier(u: GridFunction, energy: float, params: GNParams) -> float:
-    """Multiplier from the energy identity mu = e - a beta^2/(1+beta^2) * NL."""
-    sys_ = _System(u.grid, params, None)
-    return sys_.multiplier(energy, sys_.interaction(u.values))
-
-
-def euler_lagrange_residual(
-    u: GridFunction, mu: float, params: GNParams, spec: PotentialSpec | None = None
-) -> float:
-    """Sup-norm of the stationarity defect at multiplier mu."""
-    return _System(u.grid, params, spec).residual(u.values, mu)
-
-
-def fit_multiplier(u: GridFunction, params: GNParams, spec: PotentialSpec | None = None) -> float:
-    """Multiplier minimizing the weighted L2 norm of the stationarity defect."""
-    return _System(u.grid, params, spec).fit_multiplier(u.values)
-
-
 # ----------------------------------------------------------------------
 # cutoff trial functions
 # ----------------------------------------------------------------------
@@ -206,16 +183,6 @@ def _bump_d2(t):
     return out
 
 
-@dataclass
-class TrialFunction:
-    """Mass-normalized, cut-off, dilated copy of the ground profile."""
-
-    tau: float
-    cutoff_radius: float
-    a_tau: float
-    values: GridFunction
-
-
 def _trial_radial_integrals(gs: GroundStateData, tau: float, R: float):
     """(mass, kinetic, interaction) of the un-normalized trial function.
 
@@ -234,24 +201,22 @@ def _trial_radial_integrals(gs: GroundStateData, tau: float, R: float):
     return i_m / l2, tau**2 * i_k / l2, tau**2 * i_nl / l2 ** (1.0 + gs.params.beta_sq)
 
 
-def default_cutoff_radius(grid: Grid) -> float:
-    return grid.domain.origin_distance / 4.0
-
-
 def make_trial_function(
     gs: GroundStateData, grid: Grid, tau: float, R: float | None = None
-) -> TrialFunction:
+) -> GridFunction:
     """Cut-off dilated profile with unit mass on the grid.
 
-    ``a_tau`` is the continuum normalization constant (its deviation from 1
-    is the cutoff's mass deficit, superpolynomially small in tau); the grid
-    realization is renormalized exactly afterwards.
+    The cutoff radius R defaults to a quarter of the distance from the
+    origin to the boundary.  The profile is first scaled by the continuum
+    normalization constant (its deviation from 1 is the cutoff's mass
+    deficit, superpolynomially small in tau); the grid realization is
+    renormalized exactly afterwards.
     """
     if tau <= 0.0:
         raise ValueError("dilation parameter tau must be positive")
     d = grid.domain.origin_distance
     if R is None:
-        R = default_cutoff_radius(grid)
+        R = d / 4.0
     if 2.0 * R >= d:
         raise DomainTooSmall(f"support radius 2R = {2 * R} reaches the boundary (distance {d})")
 
@@ -262,8 +227,7 @@ def make_trial_function(
     r = np.abs(x)
     scale = tau ** (gs.params.N / 2.0) / math.sqrt(gs.l2_sq)
     vals = a_tau * scale * _bump(r / R - 1.0) * gs.q(tau * r)
-    u = normalize_mass(GridFunction(grid, vals))
-    return TrialFunction(tau=tau, cutoff_radius=R, a_tau=a_tau, values=u)
+    return normalize_mass(GridFunction(grid, vals))
 
 
 def trial_quotient(gs: GroundStateData, tau: float, R: float) -> float:
@@ -282,19 +246,16 @@ def trial_quotient(gs: GroundStateData, tau: float, R: float) -> float:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Stopping rule and trace of the semi-implicit normalized gradient flow.
+    """Stopping rule of the semi-implicit normalized gradient flow.
 
     ``tol``: stop once the sup-norm update per unit time falls below it.
-    ``max_iters``: accepted steps before NotConverged.  ``trace_stride``:
-    record the energy and the kinetic term of every ``trace_stride``-th
-    accepted step on the result (0: no trace).  The time step starts at
-    1e-2 and adapts within [1e-7, 0.25]; there is no energy floor, so a
-    flow above a* runs until it stops on the grid.
+    ``max_iters``: accepted steps before NotConverged.  The time step
+    starts at 1e-2 and adapts within [1e-7, 0.25]; there is no energy
+    floor, so a flow above a* runs until it stops on the grid.
     """
 
     tol: float = 1e-9
     max_iters: int = 500_000
-    trace_stride: int = 0
 
 
 @dataclass
@@ -310,8 +271,6 @@ class MinimizerResult:
     residual: float
     breakdown: EnergyBreakdown | None = None
     mu_fit: float | None = None
-    energy_trace: list = field(default_factory=list)
-    kinetic_trace: list = field(default_factory=list)
 
 
 def gradient_flow_minimize(
@@ -338,7 +297,6 @@ def gradient_flow_minimize(
     fact = sys_.factor(dt)
     eb, nl = sys_.energy(u)
     energy_prev, mu_r = eb.total, sys_.multiplier(eb.total, nl)
-    trace: list[EnergyBreakdown] = []
     iterations = 0
     converged = False
     clean_steps = 0
@@ -366,8 +324,6 @@ def gradient_flow_minimize(
                 u = u_new
                 energy_prev = energy_new
                 mu_r = sys_.multiplier(energy_new, nl)
-                if cfg.trace_stride and iterations % cfg.trace_stride == 0:
-                    trace.append(eb)
                 if delta < cfg.tol:
                     converged = True
                     break
@@ -379,7 +335,7 @@ def gradient_flow_minimize(
             fact = sys_.factor(dt)
             clean_steps = 0
 
-    result = _build_result(u, sys_, iterations, converged, trace)
+    result = _build_result(u, sys_, iterations, converged)
     if not converged:
         raise NotConverged(
             f"flow did not reach tol = {cfg.tol:.2g} in {cfg.max_iters} iterations",
@@ -388,7 +344,7 @@ def gradient_flow_minimize(
     return result
 
 
-def _build_result(u_vals, sys_: _System, iterations, converged, trace) -> MinimizerResult:
+def _build_result(u_vals, sys_: _System, iterations, converged) -> MinimizerResult:
     eb, nl = sys_.energy(u_vals)
     mu_f = sys_.fit_multiplier(u_vals)
     return MinimizerResult(
@@ -401,8 +357,6 @@ def _build_result(u_vals, sys_: _System, iterations, converged, trace) -> Minimi
         residual=sys_.residual(u_vals, mu_f),
         breakdown=eb,
         mu_fit=mu_f,
-        energy_trace=[e.total for e in trace],
-        kinetic_trace=[e.kinetic for e in trace],
     )
 
 
@@ -432,8 +386,7 @@ def nonexistence_probe(
         )
     out = []
     for tau in taus:
-        trial = make_trial_function(gs, grid, tau, R)
-        eb = evaluate_energy(trial.values, params, spec)
+        eb = evaluate_energy(make_trial_function(gs, grid, tau, R), params, spec)
         out.append((tau, eb.total))
     return out
 
@@ -512,47 +465,3 @@ def multistart_uniqueness(
         failures=tuple(failures),
     )
 
-
-@dataclass(frozen=True)
-class ThresholdProbe:
-    """Observed behavior of the flow exactly at the threshold strength."""
-
-    converged: bool
-    iterations: int
-    final_energy: float
-    final_kinetic: float
-    kinetic_trace: tuple
-
-
-def threshold_probe(
-    gs: GroundStateData,
-    spec: PotentialSpec | None,
-    grid: Grid,
-    cfg: FlowConfig | None = None,
-) -> ThresholdProbe:
-    """Run the flow at a = a* and report the energy/kinetic trend.
-
-    Existence at the threshold is not decidable numerically (bounded
-    minimizing sequences cannot be certified); this reports what the flow
-    does, nothing more.
-    """
-    if cfg is None:
-        cfg = FlowConfig(max_iters=20_000, trace_stride=200)
-    elif not cfg.trace_stride:
-        cfg = replace(cfg, trace_stride=1)
-    params = gs.params.with_a(gs.a_star)
-    rng = np.random.default_rng(7)
-    init = GridFunction(grid, 0.5 + rng.uniform(0.0, 0.5, grid.n_interior))
-    try:
-        res = gradient_flow_minimize(init, params, spec, cfg)
-        converged = True
-    except NotConverged as exc:
-        res = exc.partial
-        converged = False
-    return ThresholdProbe(
-        converged=converged,
-        iterations=res.iterations,
-        final_energy=res.energy,
-        final_kinetic=res.breakdown.kinetic,
-        kinetic_trace=tuple(res.kinetic_trace),
-    )

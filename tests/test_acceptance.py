@@ -17,7 +17,6 @@ from critlab import (
     Interval,
     PotentialSpec,
     build_grid,
-    check_limits,
     compute_lambda,
     default_gap_schedule,
     fit_scaling_laws,
@@ -31,7 +30,6 @@ from critlab import (
     trial_quotient,
     verify_identities,
 )
-from critlab.asymptotics import predicted_energy_prefactor, predicted_eps_prefactor
 from critlab.variational import fit_tau_square_coefficient
 from frozen_values import GROUND_STATES
 from test_variational import random_h10

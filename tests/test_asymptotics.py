@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +9,7 @@ from critlab import (
     GridFunction,
     InsufficientSpan,
     Interval,
+    MassViolation,
     MinimizerResult,
     PotentialSpec,
     SweepRecord,
@@ -18,16 +18,13 @@ from critlab import (
     compute_lambda,
     default_gap_schedule,
     fit_scaling_laws,
+    lemma_energy_bound,
     normalize_mass,
     predicted_eps,
     rescale_minimizer,
     run_sweep,
 )
-from critlab.asymptotics import (
-    limit_profile,
-    predicted_energy_prefactor,
-    predicted_eps_prefactor,
-)
+from critlab.asymptotics import limit_profile
 from critlab.variational import EnergyBreakdown
 from frozen_values import GROUND_STATES
 
@@ -86,6 +83,23 @@ def test_sweep_abort_returns_prefix(gs105):
     assert sw.aborted
     assert len(sw.records) == 0
     assert "5 iterations" in sw.message
+
+
+def test_sweep_rejects_record_off_unit_mass(gs105, monkeypatch):
+    import critlab.asymptotics as A
+
+    flow = A.gradient_flow_minimize
+
+    def off_mass_flow(*args, **kwargs):
+        res = flow(*args, **kwargs)
+        return replace(res, u=res.u.with_values(1.01 * res.u.values))
+
+    monkeypatch.setattr(A, "gradient_flow_minimize", off_mass_flow)
+    spec = PotentialSpec(p0=2.0)
+    lam = compute_lambda(spec, gs105)
+    grid = build_grid(Interval(-8.0, 8.0), 512)
+    with pytest.raises(MassViolation, match="lost unit mass"):
+        run_sweep(default_gap_schedule(gs105.a_star, 0.2, 0.5, 1), gs105, spec, grid, lam)
 
 
 def test_sweep_validates_schedule(gs105):
@@ -153,8 +167,8 @@ def _synthetic_records(gs, lam, pref_e, pref_eps, n=7):
 
 def test_fit_recovers_synthetic_power_law(gs105):
     lam = compute_lambda(PotentialSpec(p0=2.0), gs105)
-    pref_e = predicted_energy_prefactor(gs105, lam) * 1.02
-    pref_eps = predicted_eps_prefactor(gs105, lam) * 0.98
+    pref_e = lemma_energy_bound(1.0, gs105, lam) * 1.02
+    pref_eps = predicted_eps(1.0, gs105, lam) * 0.98
     recs = _synthetic_records(gs105, lam, pref_e, pref_eps)
     fit = fit_scaling_laws(recs, gs105, lam, drop_widest=2)
     assert fit.energy.exponent == pytest.approx(0.5, abs=1e-10)
@@ -190,8 +204,8 @@ def test_fit_requires_span(gs105):
 
 def test_check_limits_fields(gs105):
     lam = compute_lambda(PotentialSpec(p0=2.0), gs105)
-    pref_e = predicted_energy_prefactor(gs105, lam)
-    pref_eps = predicted_eps_prefactor(gs105, lam)
+    pref_e = lemma_energy_bound(1.0, gs105, lam)
+    pref_eps = predicted_eps(1.0, gs105, lam)
     recs = _synthetic_records(gs105, lam, pref_e * 0.97, pref_eps, n=8)
     rep = check_limits(recs, gs105, lam)
     assert rep.mu_eps_ok and rep.mu_eps_sq == pytest.approx(-gs105.params.beta_sq)
@@ -208,7 +222,7 @@ def test_predicted_prefactors_closed_forms(gs105):
     lam_hand = frozen["moments"][2.0] ** 0.25
     pref_e_hand = 2.0 * lam_hand**2 * m ** -0.5 * (astar * 1.5) ** -0.5
     pref_eps_hand = (m * 1.5 / astar) ** 0.25 / lam_hand
-    assert predicted_energy_prefactor(gs105, lam) == pytest.approx(pref_e_hand, rel=1e-6)
-    assert predicted_eps_prefactor(gs105, lam) == pytest.approx(pref_eps_hand, rel=1e-6)
+    assert lemma_energy_bound(1.0, gs105, lam) == pytest.approx(pref_e_hand, rel=1e-6)
+    assert predicted_eps(1.0, gs105, lam) == pytest.approx(pref_eps_hand, rel=1e-6)
     eps_pred = predicted_eps(1e-3, gs105, lam)
     assert eps_pred == pytest.approx(pref_eps_hand * 1e-3 ** 0.25, rel=1e-6)

@@ -138,6 +138,25 @@ def test_uniqueness_command(tmp_path, capsys):
     assert rep["max_l2"] < 1e-4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ground-state", "--r-max", "5"],
+        ["ground-state", "--gs-resolution", "32"],
+        ["minimize", "--resolution", "8"],
+        ["uniqueness", "--n-starts", "2"],
+        ["nonexist", "--a-mult", "1.2", "--taus", "10;5"],
+    ],
+)
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv):
+    code = run_command(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_minimize_solver_failure_exit_code(tmp_path):
     cfg = tmp_path / "m.cfg"
     cfg.write_text(

@@ -14,7 +14,7 @@ from critlab import (
     solve_ground_state,
     verify_identities,
 )
-from critlab.groundstate import _classify, scaling_direction_residual
+from critlab.groundstate import _march
 from frozen_values import GROUND_STATES
 
 
@@ -96,8 +96,8 @@ def test_shooting_bracket_is_monotone(gs105):
     h = gs105.meta["h"]
     g = 2.0 * params.beta_sq
     r0 = gs105.profile.nodes[0]
-    assert _classify(params.N, params.b, g, s_hi * 1.0001, r0, h, 30.0) == "cross"
-    assert _classify(params.N, params.b, g, s_lo * 0.9999, r0, h, 30.0) in ("diverge", "end")
+    assert _march(params.N, params.b, g, s_hi * 1.0001, r0, h, 30.0, store=False) == "cross"
+    assert _march(params.N, params.b, g, s_lo * 0.9999, r0, h, 30.0, store=False) in ("diverge", "end")
 
 
 def test_moment_definition_and_oracle(gs105):
@@ -163,7 +163,7 @@ def test_large_b_identities_and_oracle(N, b, oracle):
 def test_bracket_failure(monkeypatch):
     import critlab.groundstate as G
 
-    monkeypatch.setattr(G, "_classify", lambda *args: "diverge")
+    monkeypatch.setattr(G, "_march", lambda *args, store: "diverge")
     with pytest.raises(BracketFailure):
         solve_ground_state(GNParams(1, 0.5), resolution=256, shoot_tol=1e-9, r_max=25.0)
 
@@ -188,7 +188,7 @@ def test_linearized_probe(gs31):
             gs31.profile, values=2.0 * gs31.profile.values, derivs=2.0 * gs31.profile.derivs
         ),
     )
-    assert scaling_direction_residual(doubled) > 0.1
+    assert linearized_probe(doubled).identity_residual > 0.1
 
 
 def test_linearized_probe_independent_of_startup_radius(monkeypatch):

@@ -66,7 +66,7 @@ def test_tabulated_h_limit():
     hv = 1.0 + 0.25 * np.abs(xs) + 0.1 * xs**2
     spec = PotentialSpec(p0=2.0, h_kind="tabulated", h_params=tuple(hv), h_nodes=tuple(xs),
                          zeros=((0.5, 1.0),))
-    assert limit_factor(spec) == pytest.approx(1.0 * 0.5, rel=1e-6)
+    assert limit_factor(spec) == pytest.approx(1.0 * 0.5, rel=1e-15, abs=0.0)
 
 
 def test_lambda_tail_unresolved(gs105):

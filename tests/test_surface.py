@@ -1,18 +1,21 @@
 """The option surface: every settable value is a deliberate choice.
 
 Settable values are the defaulted parameters of the public functions each
-critlab module defines, plus the fields of FlowConfig.  Adding one means
+critlab module defines, plus the fields of FlowConfig; public names are
+the non-module names the critlab package exports.  Adding one means
 changing the count here on purpose.
 """
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import types
 
 import critlab
 from critlab import FlowConfig
 
-MAX_SETTABLE = 26
+MAX_SETTABLE = 22
+MAX_PUBLIC_NAMES = 66
 
 
 def _defaulted_parameters():
@@ -32,10 +35,18 @@ def _defaulted_parameters():
 
 def test_flow_config_fields():
     names = [f.name for f in dataclasses.fields(FlowConfig)]
-    assert names == ["tol", "max_iters", "trace_stride"]
+    assert names == ["tol", "max_iters"]
 
 
 def test_settable_values_bounded():
     params = _defaulted_parameters()
     total = len(params) + len(dataclasses.fields(FlowConfig))
     assert total <= MAX_SETTABLE, params
+
+
+def test_public_names_bounded():
+    names = [
+        name for name in dir(critlab)
+        if not name.startswith("_") and not isinstance(getattr(critlab, name), types.ModuleType)
+    ]
+    assert len(names) <= MAX_PUBLIC_NAMES, names

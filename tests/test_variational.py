@@ -16,22 +16,19 @@ from critlab import (
     build_grid,
     dirichlet_form,
     evaluate_energy,
-    euler_lagrange_residual,
-    fit_multiplier,
     gn_quotient,
     gradient_flow_minimize,
-    lagrange_multiplier,
     lemma_energy_bound,
     make_trial_function,
     mass,
     multistart_uniqueness,
     nonexistence_probe,
     normalize_mass,
-    threshold_probe,
     trial_quotient,
 )
 from critlab.potentials import compute_lambda
-from critlab.variational import _trial_radial_integrals, fit_tau_square_coefficient
+from critlab.grids import integrate
+from critlab.variational import _System, _trial_radial_integrals, fit_tau_square_coefficient
 from frozen_values import MOMENT_COS_SQ
 
 PI24 = math.pi**2 / 4.0
@@ -88,7 +85,7 @@ def test_trial_energy_expansion(gs105):
     grid = build_grid(Interval(-4.0, 4.0), 4096)
     a = 0.5 * gs105.a_star
     tr = make_trial_function(gs105, grid, 10.0, R=1.0)
-    eb = evaluate_energy(tr.values, gs105.params.with_a(a), None)
+    eb = evaluate_energy(tr, gs105.params.with_a(a), None)
     predicted = 0.5 * 100.0 / 1.5
     assert eb.total == pytest.approx(predicted, rel=2e-3)
 
@@ -129,18 +126,20 @@ def test_trial_family_saturates_bound(gs105):
 def test_el_residual_eigenfunction():
     grid = build_grid(Interval(-1.0, 1.0), 512)
     u = eigenfunction(grid)
-    params = GNParams(1, 0.5, a=0.0)
-    assert euler_lagrange_residual(u, PI24, params, None) < 1e-3
+    system = _System(grid, GNParams(1, 0.5, a=0.0), None)
+    assert system.residual(u.values, PI24) < 1e-3
     rng = np.random.default_rng(3)
     noisy = normalize_mass(GridFunction(grid, 0.5 + rng.uniform(0, 1, grid.n_interior)))
-    assert euler_lagrange_residual(noisy, PI24, params, None) > 0.1
+    assert system.residual(noisy.values, PI24) > 0.1
 
 
 def test_multiplier_at_zero_interaction():
+    # without interaction the energy identity reduces to mu = e
     grid = build_grid(Interval(-1.0, 1.0), 256)
-    u = eigenfunction(grid)
-    eb = evaluate_energy(u, GNParams(1, 0.5, a=0.0), None)
-    assert lagrange_multiplier(u, eb.total, GNParams(1, 0.5, a=0.0)) == eb.total
+    rng = np.random.default_rng(4)
+    init = GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior))
+    res = gradient_flow_minimize(init, GNParams(1, 0.5, a=0.0), None, FlowConfig())
+    assert res.mu == res.energy
 
 
 def test_multiplier_formula_vs_fit(gs105):
@@ -151,12 +150,13 @@ def test_multiplier_formula_vs_fit(gs105):
         GridFunction.from_callable(grid, lambda x: np.exp(-np.abs(x) ** 2))
     )
     res = gradient_flow_minimize(init, params, spec, FlowConfig())
-    assert res.mu == pytest.approx(fit_multiplier(res.u, params, spec), abs=1e-6 * (1 + abs(res.mu)))
+    assert res.mu == pytest.approx(res.mu_fit, abs=1e-6 * (1 + abs(res.mu)))
     assert res.residual < 1e-6
 
 
 def test_result_scalars_match_public_functions(gs105):
-    # the flow's result and the public functions evaluate one discrete system
+    # the flow's result, the public functions and an independent evaluation
+    # of the energy identity agree
     grid = build_grid(Interval(-8.0, 8.0), 1024)
     spec = PotentialSpec(p0=2.0)
     params = gs105.params.with_a(0.5 * gs105.a_star)
@@ -166,9 +166,12 @@ def test_result_scalars_match_public_functions(gs105):
     eb = evaluate_energy(res.u, params, spec)
     assert res.energy == pytest.approx(eb.total, rel=1e-14, abs=0.0)
     assert res.breakdown.kinetic == pytest.approx(dirichlet_form(res.u), rel=1e-14, abs=0.0)
-    assert res.mu == pytest.approx(lagrange_multiplier(res.u, res.energy, params), rel=1e-14, abs=0.0)
-    assert res.mu_fit == pytest.approx(fit_multiplier(res.u, params, spec), rel=1e-14, abs=0.0)
-    assert res.residual == euler_lagrange_residual(res.u, res.mu_fit, params, spec)
+    bs = params.beta_sq
+    nl = integrate(res.u.with_values(np.abs(res.u.values) ** params.nonlinear_power), -params.b)
+    assert res.mu == pytest.approx(res.energy - params.a * bs / (1.0 + bs) * nl, rel=1e-12, abs=0.0)
+    system = _System(grid, params, spec)
+    assert res.mu_fit == system.fit_multiplier(res.u.values)
+    assert res.residual == system.residual(res.u.values, res.mu_fit)
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +181,9 @@ def test_result_scalars_match_public_functions(gs105):
 def test_trial_normalization(gs105):
     grid = build_grid(Interval(-4.0, 4.0), 2048)
     tr = make_trial_function(gs105, grid, 20.0, R=1.0)
-    assert abs(tr.a_tau - 1.0) < 1e-6
-    assert mass(tr.values) == pytest.approx(1.0, abs=1e-12)
+    mass_raw, _, _ = _trial_radial_integrals(gs105, 20.0, 1.0)
+    assert abs(mass_raw - 1.0) < 1e-6  # the cutoff's continuum mass deficit
+    assert mass(tr) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trial_kinetic_scaling(gs105):
@@ -237,12 +241,18 @@ def test_flow_energy_in_lemma_window(gs105):
 
 
 def test_flow_energy_monotone_trace():
+    # the partial results after k accepted steps trace the flow's energy
     grid = build_grid(Interval(-1.0, 1.0), 512)
     rng = np.random.default_rng(3)
     init = GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior))
-    cfg = FlowConfig(trace_stride=1, max_iters=20000)
-    res = gradient_flow_minimize(init, GNParams(1, 0.5, a=0.0), None, cfg)
-    trace = np.array(res.energy_trace)
+    params = GNParams(1, 0.5, a=0.0)
+    n_steps = gradient_flow_minimize(init, params, None, FlowConfig(max_iters=20000)).iterations
+    trace = []
+    for k in range(1, n_steps):
+        with pytest.raises(NotConverged) as exc_info:
+            gradient_flow_minimize(init, params, None, FlowConfig(max_iters=k))
+        trace.append(exc_info.value.partial.energy)
+    trace = np.array(trace)
     slack = 1e-9 * (1.0 + np.abs(trace[:-1]))
     assert np.all(np.diff(trace) <= slack)
 
@@ -252,7 +262,7 @@ def test_flow_above_threshold_stops_on_grid(gs105, resolution):
     # no minimizer exists above a*: the flow concentrates until the grid
     # stops it, at a spike narrower than two cells with negative energy
     grid = build_grid(Interval(-4.0, 4.0), resolution)
-    init = make_trial_function(gs105, grid, 10.0, R=1.0).values
+    init = make_trial_function(gs105, grid, 10.0, R=1.0)
     res = gradient_flow_minimize(init, gs105.params.with_a(1.1 * gs105.a_star), None, FlowConfig())
     assert res.converged
     assert res.eps < 2.0 * grid.h
@@ -357,11 +367,3 @@ def test_multistart_uniqueness(gs105):
     with pytest.raises(ValueError):
         multistart_uniqueness(params, spec, grid, 2, 123)
 
-
-def test_threshold_probe_reports(gs105):
-    grid = build_grid(Interval(-8.0, 8.0), 512)
-    rep = threshold_probe(gs105, PotentialSpec(p0=2.0), grid,
-                          FlowConfig(max_iters=2000, trace_stride=100))
-    assert rep.iterations > 0
-    assert len(rep.kinetic_trace) > 0
-    assert rep.final_kinetic > 0.0
