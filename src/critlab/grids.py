@@ -133,10 +133,6 @@ class GridFunction:
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, np.asarray(values, dtype=float))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, fn(grid.interior_nodes))
-
 
 # ----------------------------------------------------------------------
 # weights shared by quadrature, energies and flows

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     DomainTooSmall,
@@ -88,15 +88,15 @@ class _System:
     def mass(self, u) -> float:
         return _dot(self.W, u * u)
 
-    def interaction(self, u) -> float:
-        """Weighted interaction integral of |u|^{2+2 beta^2}."""
-        return _dot(self.Wb, np.abs(u) ** self.power)
+    def interaction(self, u, u_pow=None) -> float:
+        """Weighted interaction integral of |u|^{2+2 beta^2}; u_pow = u^{1+2 beta^2} of u > 0."""
+        return _dot(self.Wb, np.abs(u) ** self.power if u_pow is None else u_pow * u)
 
-    def energy(self, u) -> tuple[EnergyBreakdown, float]:
+    def energy(self, u, u_pow=None) -> tuple[EnergyBreakdown, float]:
         """Energy split of nodal values u, and their interaction integral."""
         kin = _dot(apply_stiffness(self.grid, u), u)
         pot = _dot(self.WV, u * u)
-        nl = self.interaction(u)
+        nl = self.interaction(u, u_pow)
         nonlinear = self.c_energy * nl
         return EnergyBreakdown(kin, pot, nonlinear, kin + pot - nonlinear), nl
 
@@ -117,15 +117,25 @@ class _System:
         """Sup-norm of the stationarity defect at multiplier mu."""
         return float(np.max(np.abs(self.defect(u) - mu * u)))
 
-    def flow_rhs(self, u, dt: float, mu: float) -> np.ndarray:
-        """Right-hand side W (u / dt - V u + mu u) + a Wb u^{1+2 beta^2} of a flow step."""
-        return u * (self.W * (1.0 / dt + mu) - self.WV) + self.aWb * u ** (self.power - 1.0)
+    def flow_rhs(self, u, u_pow, dt: float, mu: float) -> np.ndarray:
+        """Right-hand side W (u / dt + mu u) + a Wb u_pow of a flow step, u_pow = u^{1+2 beta^2}:
+        backward Euler in the Laplacian and the potential, explicit interaction."""
+        return u * (self.W * (1.0 / dt + mu)) + self.aWb * u_pow
 
     def factor(self, dt):
-        """Banded Cholesky factor of K + W / dt."""
-        ab = stiffness_bands(self.grid).copy()
-        ab[1] += self.W / dt
-        return cholesky_banded(ab, lower=False)
+        """LDL^T factor of the tridiagonal K + W / dt + W V, an SPD M-matrix for V >= 0:
+        backward Euler in the Laplacian and the potential, explicit interaction."""
+        ab = stiffness_bands(self.grid)
+        d, e, info = dpttrf(ab[1] + self.W / dt + self.WV, ab[0, 1:])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"flow matrix not positive definite (dpttrf info {info})")
+        return d, e
+
+    def solve(self, fact, rhs) -> np.ndarray:
+        x, info = dpttrs(*fact, rhs, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"flow solve failed (dpttrs info {info})")
+        return x
 
 
 def evaluate_energy(
@@ -281,21 +291,26 @@ def gradient_flow_minimize(
 ) -> MinimizerResult:
     """Normalized gradient flow to the constrained minimizer.
 
-    Backward Euler in the Laplacian, explicit potential/interaction terms
+    Backward Euler in the Laplacian and the potential, explicit interaction
     with a multiplier shift (so the fixed point solves the discrete
     Euler-Lagrange system exactly), renormalization after every step, and
-    time-step adaptation on positivity loss or energy increase.
+    time-step adaptation on positivity loss or energy increase.  The
+    potential must be nonnegative on the grid.
     """
+    sys_ = _System(init.grid, params, spec)
+    if not np.all(sys_.V >= 0.0):
+        raise ValueError(f"the flow needs V >= 0; the smallest sampled V is {np.min(sys_.V):.6g}")
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise ValueError("gradient flow requires a nonnegative, nonzero initial function")
     # zeros in the init (for example beyond a cutoff) are gone after one
     # implicit step: the inverse of the M-matrix is entrywise positive
-    sys_ = _System(init.grid, params, spec)
     u = init.values / math.sqrt(sys_.mass(init.values))
+    p1 = sys_.power - 1.0
+    u_pow = u**p1  # u^{1+2 beta^2}, shared by the step and the energy
 
     dt = _DT_START
     fact = sys_.factor(dt)
-    eb, nl = sys_.energy(u)
+    eb, nl = sys_.energy(u, u_pow)
     energy_prev, mu_r = eb.total, sys_.multiplier(eb.total, nl)
     iterations = 0
     converged = False
@@ -304,7 +319,7 @@ def gradient_flow_minimize(
     while iterations < cfg.max_iters:
         # each branch only chooses the next time step; a change refactors below
         new_dt = dt
-        u_star = cho_solve_banded((fact, False), sys_.flow_rhs(u, dt, mu_r))
+        u_star = sys_.solve(fact, sys_.flow_rhs(u, u_pow, dt, mu_r))
         if np.any(u_star <= 0.0):
             if dt <= _DT_MIN:
                 raise NonPositive(
@@ -313,7 +328,8 @@ def gradient_flow_minimize(
             new_dt = max(dt * 0.5, _DT_MIN)
         else:
             u_new = u_star / math.sqrt(sys_.mass(u_star))
-            eb, nl = sys_.energy(u_new)
+            pow_new = u_new**p1
+            eb, nl = sys_.energy(u_new, pow_new)
             energy_new = eb.total
             slack = _ENERGY_SLACK * (1.0 + abs(energy_prev))
             if energy_new > energy_prev + slack and dt > 2.0 * _DT_MIN:
@@ -321,7 +337,7 @@ def gradient_flow_minimize(
             else:
                 iterations += 1
                 delta = float(np.max(np.abs(u_new - u))) / dt
-                u = u_new
+                u, u_pow = u_new, pow_new
                 energy_prev = energy_new
                 mu_r = sys_.multiplier(energy_new, nl)
                 if delta < cfg.tol:

@@ -52,6 +52,20 @@ def test_sweep_aborts_on_unresolved_negative_energy(gs205):
     assert "energy" in sw.message and "h = " in sw.message
 
 
+def test_two_zero_potential_first_point(gs105_hi):
+    # first point of the |x|^2 |x - 3|^2 sweep: V dt >> 1 near |x| = 8 must
+    # not force dt down, so the potential sits in the flow's matrix (an
+    # explicit potential takes 25044 iterations here)
+    spec = PotentialSpec(p0=2.0, zeros=((3.0, 2.0),))
+    lam = compute_lambda(spec, gs105_hi)
+    grid = build_grid(Interval(-8.0, 8.0), 2048)
+    sched = default_gap_schedule(gs105_hi.a_star, 0.1, 0.5, 8)[:1]
+    sw = run_sweep(sched, gs105_hi, spec, grid, lam, FlowConfig())
+    assert not sw.aborted, sw.message
+    (rec,) = sw.records
+    assert rec.iterations < 1000
+    assert rec.energy == pytest.approx(1.0955476348686028, rel=1e-12, abs=0.0)
+
 def test_sweep_structure_and_trends(mini_sweep, gs105):
     sw, lam = mini_sweep
     assert not sw.aborted

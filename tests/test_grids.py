@@ -45,7 +45,7 @@ def test_origin_must_be_interior():
 
 def test_laplacian_eigenfunction():
     g = build_grid(Interval(-1.0, 1.0), 512)
-    u = GridFunction.from_callable(g, lambda x: np.cos(np.pi * x / 2))
+    u = GridFunction(g, np.cos(np.pi * g.interior_nodes / 2))
     lap = neg_laplacian(u)
     err = np.max(np.abs(lap.values - (np.pi / 2) ** 2 * u.values))
     assert err < 2.0 * g.h**2
@@ -65,7 +65,7 @@ def test_radial_laplacian_gaussian():
     errs = []
     for res in (256, 512):
         g = build_grid(Ball(3, 5.0), res)
-        u = GridFunction.from_callable(g, lambda r: np.exp(-(r**2)))
+        u = GridFunction(g, np.exp(-(g.interior_nodes**2)))
         lap = neg_laplacian(u).values
         r = g.interior_nodes
         truth = (6.0 - 4.0 * r**2) * np.exp(-(r**2))
@@ -112,7 +112,7 @@ def test_weighted_integrals_closed_forms():
 
 def test_cross_module_mass(gs31):
     g = build_grid(Ball(3, 20.0), 2000)
-    q2 = GridFunction.from_callable(g, lambda r: gs31.q(r) ** 2)
+    q2 = GridFunction(g, gs31.q(g.interior_nodes) ** 2)
     assert integrate(q2, 0.0) == pytest.approx(gs31.l2_sq, rel=1e-3)
 
 
@@ -144,7 +144,7 @@ def test_nonintegrable_weight():
 
 def test_normalize_mass():
     g = build_grid(Interval(-1.0, 1.0), 128)
-    u = GridFunction.from_callable(g, lambda x: 2.0 * np.cos(np.pi * x / 2))
+    u = GridFunction(g, 2.0 * np.cos(np.pi * g.interior_nodes / 2))
     n = normalize_mass(u)
     assert mass(n) == pytest.approx(1.0, abs=1e-14)
     again = normalize_mass(n)
@@ -168,5 +168,5 @@ def test_nonuniform_ball_grid_masses_and_stiffness(N):
     grid = Grid(Ball(N, 3.0), nodes=np.array([0.5, 0.6, 0.8, 1.2, 2.0, 3.0]), h=0.5)
     shell = surface_area(N) * (3.0**N - 0.5**N) / N
     assert hat_masses(grid, 0.0).sum() == pytest.approx(shell, rel=1e-14)
-    u = GridFunction.from_callable(grid, lambda r: 3.0 - r)  # |u'| = 1, zero at r = 3
+    u = GridFunction(grid, 3.0 - grid.interior_nodes)  # |u'| = 1, zero at r = 3
     assert dirichlet_form(u) == pytest.approx(shell, rel=1e-14)

@@ -35,7 +35,7 @@ PI24 = math.pi**2 / 4.0
 
 
 def eigenfunction(grid):
-    return GridFunction.from_callable(grid, lambda x: np.cos(np.pi * x / 2))
+    return GridFunction(grid, np.cos(np.pi * grid.interior_nodes / 2))
 
 
 def random_h10(grid, rng, n_modes=24):
@@ -75,7 +75,7 @@ def test_energy_with_harmonic_potential():
 
 def test_energy_mass_violation():
     grid = build_grid(Interval(-1.0, 1.0), 128)
-    u = GridFunction.from_callable(grid, lambda x: 2.0 * np.cos(np.pi * x / 2))
+    u = GridFunction(grid, 2.0 * np.cos(np.pi * grid.interior_nodes / 2))
     with pytest.raises(MassViolation):
         evaluate_energy(u, GNParams(1, 0.5), None)
 
@@ -147,7 +147,7 @@ def test_multiplier_formula_vs_fit(gs105):
     spec = PotentialSpec(p0=2.0)
     params = gs105.params.with_a(0.5 * gs105.a_star)
     init = normalize_mass(
-        GridFunction.from_callable(grid, lambda x: np.exp(-np.abs(x) ** 2))
+        GridFunction(grid, np.exp(-np.abs(grid.interior_nodes) ** 2))
     )
     res = gradient_flow_minimize(init, params, spec, FlowConfig())
     assert res.mu == pytest.approx(res.mu_fit, abs=1e-6 * (1 + abs(res.mu)))
@@ -160,7 +160,7 @@ def test_result_scalars_match_public_functions(gs105):
     grid = build_grid(Interval(-8.0, 8.0), 1024)
     spec = PotentialSpec(p0=2.0)
     params = gs105.params.with_a(0.5 * gs105.a_star)
-    init = normalize_mass(GridFunction.from_callable(grid, lambda x: np.exp(-(x**2))))
+    init = normalize_mass(GridFunction(grid, np.exp(-(grid.interior_nodes**2))))
     res = gradient_flow_minimize(init, params, spec, FlowConfig())
     assert res.converged
     eb = evaluate_energy(res.u, params, spec)
@@ -234,7 +234,7 @@ def test_flow_energy_in_lemma_window(gs105):
     spec = PotentialSpec(p0=2.0)
     a = 0.5 * gs105.a_star
     lam = compute_lambda(spec, gs105)
-    init = normalize_mass(GridFunction.from_callable(grid, lambda r: np.exp(-(r**2))))
+    init = normalize_mass(GridFunction(grid, np.exp(-(grid.interior_nodes**2))))
     res = gradient_flow_minimize(init, gs105.params.with_a(a), spec, FlowConfig())
     bound = lemma_energy_bound(gs105.a_star - a, gs105, lam)
     assert 0.0 <= res.energy <= bound * 1.01
@@ -286,6 +286,15 @@ def test_flow_requires_positive_init():
     with pytest.raises(ValueError):
         gradient_flow_minimize(GridFunction(grid, vals), GNParams(1, 0.5), None, FlowConfig())
 
+
+def test_flow_refuses_negative_potential():
+    grid = build_grid(Interval(-1.0, 1.0), 128)
+    spec = PotentialSpec(p0=2.0, h_params=(-50.0,))
+    with pytest.raises(ValueError, match="the flow needs V >= 0; the smallest sampled V is -48.4497"):
+        gradient_flow_minimize(eigenfunction(grid), GNParams(1, 0.5), spec, FlowConfig())
+    # at dt = 0.25, K + W/dt + W V is indefinite: the factorization reports it
+    with pytest.raises(np.linalg.LinAlgError, match="dpttrf info"):
+        _System(grid, GNParams(1, 0.5), spec).factor(0.25)
 
 def test_energy_lower_bound_invariant(gs105):
     # with unit mass and V >= 0: E >= (1 - a/a*) kinetic - quadrature slack
