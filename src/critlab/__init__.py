@@ -16,7 +16,6 @@ from .errors import (
     NonPositive,
     NotConverged,
     OriginOutside,
-    OutsideDomain,
     SingularStartup,
     TailUnresolved,
     ZeroFunction,

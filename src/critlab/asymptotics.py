@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InsufficientSpan, MassViolation, NotConverged
 from .grids import Grid, GridFunction, integrate_nodal, mass, normalize_mass
 from .groundstate import GroundStateData
-from .potentials import LambdaConstant, PotentialSpec, eval_potential
+from .potentials import LambdaConstant, PotentialSpec
 from .variational import FlowConfig, MinimizerResult, gradient_flow_minimize
 
 # acceptance bands of the scaling-law fits: exponent half-widths, prefactor relative tolerance
@@ -135,7 +135,7 @@ def run_sweep(
     """One minimization per scheduled interaction strength, warm-started.
 
     Ends early with ``aborted`` set, keeping the records so far, when a
-    solve does not converge or when, with V >= 0, a solve has energy <= 0.
+    solve does not converge or has energy <= 0 (the flow takes only V >= 0).
     """
     a_list = list(a_schedule)
     if any(a2 <= a1 for a1, a2 in zip(a_list, a_list[1:])):
@@ -147,7 +147,6 @@ def run_sweep(
     result = SweepResult(records=records, a_star=gs.a_star)
     u_prev: GridFunction | None = None
     eps_prev = None
-    v_nonnegative = bool(np.all(eval_potential(spec, grid.nodes) >= 0.0))
 
     for a in a_list:
         gap = gs.a_star - a
@@ -163,7 +162,7 @@ def run_sweep(
             result.aborted = True
             result.message = f"a = {a:.10g}: {exc}"
             return result
-        if res.energy <= 0.0 and v_nonnegative:
+        if res.energy <= 0.0:
             # e(a) > 0 below a* when V >= 0: the grid does not resolve this gap
             result.aborted = True
             result.message = (

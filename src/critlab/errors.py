@@ -43,10 +43,6 @@ class MassViolation(CritlabError):
     """Grid function does not satisfy the unit-mass constraint."""
 
 
-class OutsideDomain(CritlabError):
-    """Evaluation point lies outside the closed domain."""
-
-
 class DomainTooSmall(CritlabError):
     """Cutoff support B_{2R}(0) does not fit inside the domain."""
 

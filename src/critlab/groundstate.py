@@ -172,13 +172,6 @@ class GroundStateData:
     # -- profile evaluation -------------------------------------------
     def q(self, r):
         """Profile value at arbitrary radii (series / Hermite / tail)."""
-        return self._eval(r, deriv=False)
-
-    def dq(self, r):
-        """Profile derivative at arbitrary radii."""
-        return self._eval(r, deriv=True)
-
-    def _eval(self, r, deriv: bool):
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
@@ -191,13 +184,11 @@ class GroundStateData:
         hi = r >= p.tail_start
         mid = ~(lo | hi)
         if np.any(lo):
-            qv, dqv = startup_eval(N, b, s, r[lo])
-            out[lo] = dqv if deriv else qv
+            out[lo] = startup_eval(N, b, s, r[lo])[0]
         if np.any(hi):
-            rr = r[hi]
-            out[hi] = _tail_deriv(N, p.tail_coeff, rr) if deriv else _tail_value(N, p.tail_coeff, rr)
+            out[hi] = _tail_value(N, p.tail_coeff, r[hi])
         if np.any(mid):
-            out[mid] = _hermite_interp(p.nodes, p.values, p.derivs, r[mid], deriv)
+            out[mid] = _hermite_interp(p.nodes, p.values, p.derivs, r[mid])
         return float(out[0]) if scalar else out
 
     def to_json_dict(self) -> dict:
@@ -258,23 +249,17 @@ class GroundStateData:
             return cls.from_json_dict(json.load(fh))
 
 
-def _hermite_interp(nodes, values, derivs, r, deriv: bool):
+def _hermite_interp(nodes, values, derivs, r):
     idx = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
     h = nodes[idx + 1] - nodes[idx]
     t = (r - nodes[idx]) / h
     f0, f1 = values[idx], values[idx + 1]
     d0, d1 = derivs[idx], derivs[idx + 1]
-    if not deriv:
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * f0 + h * h10 * d0 + h01 * f1 + h * h11 * d1
-    dh00 = 6 * t * (t - 1)
-    dh10 = (1 - t) * (1 - 3 * t)
-    dh01 = -6 * t * (t - 1)
-    dh11 = t * (3 * t - 2)
-    return (dh00 * f0 + dh01 * f1) / h + dh10 * d0 + dh11 * d1
+    h00 = (1 + 2 * t) * (1 - t) ** 2
+    h10 = t * (1 - t) ** 2
+    h01 = t * t * (3 - 2 * t)
+    h11 = t * t * (t - 1)
+    return h00 * f0 + h * h10 * d0 + h01 * f1 + h * h11 * d1
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideDomain
 from .grids import Domain, Interval
 from .groundstate import GroundStateData, moment
 
@@ -65,18 +64,11 @@ class PotentialSpec:
         return np.interp(x, self.h_nodes, self.h_params)
 
 
-def eval_potential(spec: PotentialSpec, x, domain: Domain | None = None):
+def eval_potential(spec: PotentialSpec, x):
     """Potential value at x (scalar or array); exact zeros at 0 and each x_i."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if domain is not None:
-        if isinstance(domain, Interval):
-            bad = (x < domain.x_lo) | (x > domain.x_hi)
-        else:
-            bad = (x < 0.0) | (x > domain.radius)
-        if np.any(bad):
-            raise OutsideDomain(f"evaluation points outside the closed domain {domain}")
     out = spec.eval_h(x) * np.abs(x) ** spec.p0
     for xi, pi in spec.zeros:
         out = out * np.abs(x - xi) ** pi
@@ -110,8 +102,10 @@ def compute_lambda(spec: PotentialSpec, gs: GroundStateData) -> LambdaConstant:
     p = spec.p0
     if p <= 0.0:
         raise ValueError(f"origin exponent must be positive, got {p}")
-    mom = moment(gs, p)
     L0 = limit_factor(spec)
+    if L0 <= 0.0:
+        raise ValueError(f"lambda needs L0 = h(0) prod |x_i|^p_i > 0, got L0 = {L0:.6g}")
+    mom = moment(gs, p)
     value = (0.5 * p * mom * L0) ** (1.0 / (p + 2.0))
     return LambdaConstant(p=p, value=value, moment_value=mom, limit_value=L0)
 

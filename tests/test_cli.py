@@ -94,17 +94,35 @@ def test_ground_state_command(tmp_path, capsys):
 
 
 def test_sweep_command_deterministic(tmp_path, capsys):
+    # five points at 512 nodes are too coarse for the exponent checks: the
+    # sweep still writes its archive, and a FAIL line means exit 2
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(MINI_SWEEP_CFG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert run_command(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert run_command(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out1)]) == 2
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out2)]) == 2
+    assert "FAIL  energy exponent" in capsys.readouterr().out
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1 == m2
     assert {"sweep.csv", "fit.json", "groundstate.json", "config.cfg"} <= set(m1["files"])
     header = (out1 / "sweep.csv").read_text().splitlines()[0]
     assert header == "# a,gap,energy,eps,mu,errL2,errSup,iters"
+
+
+def test_sweep_abort_is_a_fail(tmp_path, capsys):
+    # h = 8 / 256 cannot resolve the third gap in 2-D: its energy is negative
+    cfg = tmp_path / "abort.cfg"
+    cfg.write_text(
+        "[problem]\nn = 2\n"
+        "[domain]\nkind = ball\nradius = 8.0\nresolution = 256\n"
+        "[groundstate]\nresolution = 1024\n"
+    )
+    out = tmp_path / "ab"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "FAIL  sweep completed  (a = " in capsys.readouterr().out
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert "sweep.csv" in files and "fit.json" not in files
 
 
 def test_nonexist_command(tmp_path, capsys):
@@ -136,6 +154,22 @@ def test_uniqueness_command(tmp_path, capsys):
     rep = json.loads((out / "uniqueness.json").read_text())
     assert rep["n_converged"] == 3
     assert rep["max_l2"] < 1e-4
+    assert "PASS  every start converged  (3 of 3)" in capsys.readouterr().out
+
+
+def test_uniqueness_unconverged_starts_fail(tmp_path, capsys):
+    out = tmp_path / "uniq"
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(
+        "[problem]\nb = 0.5\na_mult = 0.9\n"
+        "[domain]\nresolution = 512\n"
+        "[groundstate]\nresolution = 1024\n"
+        "[flow]\nmax_iters = 3\n"
+        "[uniqueness]\nn_starts = 3\n"
+    )
+    assert run_command(["uniqueness", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "FAIL  every start converged  (0 of 3)" in capsys.readouterr().out
+    assert json.loads((out / "uniqueness.json").read_text())["n_converged"] == 0
 
 
 @pytest.mark.parametrize(
@@ -185,8 +219,16 @@ def test_minimize_above_threshold_fails(tmp_path, capsys, resolution):
 
 
 def test_verify_all_command(tmp_path, capsys):
-    assert run_command(["verify-all", "--out", str(tmp_path / "va")]) == 0
-    assert "ALL CHECKS PASS" in capsys.readouterr().out
+    out = tmp_path / "va"
+    assert run_command(["verify-all", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "ALL CHECKS PASS" in text
+    assert "FAIL" not in text
+    # the four commands' checks plus the panel's own three
+    n_pass = sum(line.startswith("PASS  ") for line in text.splitlines())
+    assert n_pass == 11
+    report = json.loads((out / "verify.json").read_text())
+    assert report == {"n_checks": n_pass, "passed": n_pass, "ok": True}
 
 
 def test_gn_check_command(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from critlab import (
     Ball,
     Interval,
-    OutsideDomain,
     PotentialSpec,
     TailUnresolved,
     compute_lambda,
@@ -24,18 +23,19 @@ def test_eval_closed_forms():
     assert eval_potential(multi, 0.35) == pytest.approx(0.35**2 * 0.35)
 
 
-def test_eval_outside_domain():
-    spec = PotentialSpec(p0=2.0)
-    with pytest.raises(OutsideDomain):
-        eval_potential(spec, 1.5, domain=Interval(-1.0, 1.0))
-    assert eval_potential(spec, 1.0, domain=Interval(-1.0, 1.0)) == 1.0
-
-
 def test_lambda_from_oracle_moment(gs105):
     spec = PotentialSpec(p0=2.0)
     lam = compute_lambda(spec, gs105)
     expected = GROUND_STATES[(1, 0.5)]["moments"][2.0] ** 0.25
     assert lam.value == pytest.approx(expected, rel=1e-7)
+
+
+@pytest.mark.parametrize("h0", [-50.0, 0.0])
+def test_lambda_needs_positive_limit_factor(gs105, h0):
+    # lambda^{p+2} is proportional to L0: no real lambda for L0 < 0, and
+    # L0 = 0 would make predicted_eps divide by zero
+    with pytest.raises(ValueError, match="L0"):
+        compute_lambda(PotentialSpec(p0=2.0, h_params=(h0,)), gs105)
 
 
 def test_lambda_homogeneity(gs105):
