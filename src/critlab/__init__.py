@@ -7,18 +7,13 @@ from .errors import (
     BracketFailure,
     ConfigError,
     CritlabError,
-    DomainTooSmall,
-    InsufficientSpan,
     IoFailure,
     IterationStall,
     MassViolation,
-    NonIntegrableWeight,
     NonPositive,
     NotConverged,
-    OriginOutside,
     SingularStartup,
     TailUnresolved,
-    ZeroFunction,
 )
 from .grids import (
     Ball,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpan, MassViolation, NotConverged
+from .errors import MassViolation, NotConverged
 from .grids import Grid, GridFunction, integrate_nodal, mass, normalize_mass
 from .groundstate import GroundStateData
 from .potentials import LambdaConstant, PotentialSpec
@@ -251,11 +251,11 @@ def fit_scaling_laws(
     if drop_widest:
         recs = recs[:-drop_widest] if drop_widest < len(recs) else []
     if len(recs) < 5:
-        raise InsufficientSpan(f"need at least 5 records after dropping, have {len(recs)}")
+        raise ValueError(f"need at least 5 records after dropping, have {len(recs)}")
     gaps = np.array([r.gap for r in recs])
     decades = math.log10(gaps.max() / gaps.min())
     if decades < 1.0:
-        raise InsufficientSpan(f"gap span {decades:.2f} decades < 1 decade")
+        raise ValueError(f"gap span {decades:.2f} decades < 1 decade")
     p = lam.p
     energy_fit = _fit_log_law(
         gaps,

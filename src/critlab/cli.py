@@ -6,13 +6,15 @@ keys are fixed by a strict schema; command-line flags override file keys.
 
 Each command returns its checks; run_command alone prints them as
 PASS/FAIL lines, writes the run archive and picks the exit code: 0 all
-pass, 1 config error (no archive), 2 solver failure or a FAIL, 3 a FAIL
-in verify-all, which runs four commands at desk size.
+pass, 1 config error (ConfigError, or critlab's ValueError for bad input;
+no archive), 2 solver failure or a FAIL, 3 a FAIL in verify-all, which
+runs four commands at desk size.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import math
@@ -203,14 +205,16 @@ def _spec(cfg) -> PotentialSpec | None:
     raise ConfigError(f"unknown potential kind {p['kind']!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _ground_state(n, b, shoot_tol, r_max, resolution) -> GroundStateData:
+    """Ground state, kept for the last arguments so verify-all's commands share
+    one solve; run_command clears it, since commands add moments to gs.moments."""
+    return solve_ground_state(GNParams(n, b), shoot_tol=shoot_tol, r_max=r_max, resolution=resolution)
+
+
 def _solve_gs(cfg) -> GroundStateData:
-    g = cfg["groundstate"]
-    return solve_ground_state(
-        GNParams(cfg["problem"]["n"], cfg["problem"]["b"]),
-        shoot_tol=g["shoot_tol"],
-        r_max=g["r_max"],
-        resolution=g["resolution"],
-    )
+    p, g = cfg["problem"], cfg["groundstate"]
+    return _ground_state(p["n"], p["b"], g["shoot_tol"], g["r_max"], g["resolution"])
 
 
 def _flow_cfg(cfg) -> FlowConfig:
@@ -248,9 +252,9 @@ def cmd_ground_state(cfg, arch) -> list:
 
 
 def cmd_minimize(cfg, arch) -> list:
-    gs = _solve_gs(cfg)
     grid = _grid(cfg)
     spec = _spec(cfg)
+    gs = _solve_gs(cfg)
     a = _resolve_a(cfg, gs)
     if spec is not None and a < gs.a_star:
         lam = compute_lambda(spec, gs)
@@ -293,7 +297,6 @@ def cmd_minimize(cfg, arch) -> list:
 
 
 def cmd_sweep(cfg, arch) -> list:
-    gs = _solve_gs(cfg)
     grid = _grid(cfg)
     spec = _spec(cfg)
     if spec is None:
@@ -301,6 +304,7 @@ def cmd_sweep(cfg, arch) -> list:
     bad = validate_assumptions(spec, grid.domain)
     if not bad.ok:
         raise ConfigError("; ".join(bad.violations))
+    gs = _solve_gs(cfg)
     lam = compute_lambda(spec, gs)
     s = cfg["sweep"]
     sched = asy.default_gap_schedule(gs.a_star, s["gap_start_mult"], s["gap_ratio"], s["n_points"])
@@ -330,6 +334,8 @@ def cmd_sweep(cfg, arch) -> list:
         ("eps exponent", ep.exponent_ok, f"{ep.exponent:.4f} vs {ep.predicted_exponent:.4f}"),
         ("eps prefactor", ep.prefactor_ok, f"{ep.prefactor:.5g} vs {ep.predicted_prefactor:.5g}"),
         ("multiplier limit", lim.mu_eps_ok, f"mu*eps^2 = {lim.mu_eps_sq:.5g}"),
+        ("energy ratio", lim.energy_ratio_ok, f"tightest/widest = {lim.energy_ratio:.4g}"),
+        ("energy and eps decreasing", lim.energy_decreasing and lim.eps_decreasing, ""),
         ("energy upper bound", lim.lemma_bound_ok, ""),
     ]
 
@@ -352,8 +358,8 @@ def _random_h10(grid, rng, n_modes=24):
 
 
 def cmd_gn_check(cfg, arch) -> list:
-    gs = _solve_gs(cfg)
     grid = _grid(cfg)
+    gs = _solve_gs(cfg)
     bound = gs.a_star / (1.0 + gs.params.beta_sq)
     rng = np.random.default_rng(cfg["flow"]["seed"])
     n = cfg["gn"]["n_random"]
@@ -386,9 +392,9 @@ def cmd_gn_check(cfg, arch) -> list:
 
 
 def cmd_nonexist(cfg, arch) -> list:
-    gs = _solve_gs(cfg)
     grid = _grid(cfg)
     spec = _spec(cfg)
+    gs = _solve_gs(cfg)
     a = _resolve_a(cfg, gs)
     if a <= gs.a_star:
         raise ConfigError(f"nonexist needs a > a_star; got a/a_star = {a / gs.a_star:.4f}")
@@ -417,9 +423,9 @@ def cmd_nonexist(cfg, arch) -> list:
 
 
 def cmd_uniqueness(cfg, arch) -> list:
-    gs = _solve_gs(cfg)
     grid = _grid(cfg)
     spec = _spec(cfg)
+    gs = _solve_gs(cfg)
     a = _resolve_a(cfg, gs)
     params = gs.params.with_a(a)
     rep = multistart_uniqueness(
@@ -439,7 +445,7 @@ def cmd_uniqueness(cfg, arch) -> list:
             "n_converged": rep.n_converged,
             "max_l2": rep.max_l2_distance,
             "max_sup": rep.max_sup_distance,
-            "energy_spread_rel": rep.energy_spread_rel,
+            "energy_spread_rel": rep.energy_spread_rel if rep.energies else None,  # NaN is not JSON
             "energies": list(rep.energies),
         },
     )
@@ -551,6 +557,7 @@ def run_command(argv) -> int:
     the checks to the exit status.
     """
     args = _build_parser().parse_args(argv)
+    _ground_state.cache_clear()
     try:
         cfg = load_config(args.config)
         for flag, sec, key in _OVERRIDES:
@@ -566,7 +573,7 @@ def run_command(argv) -> int:
         root = os.environ.get(ENV_OUTPUT_ROOT, "critlab-runs")
         write_outputs(arch, args.out or cfg["output"]["dir"] or os.path.join(root, args.command))
     except (ConfigError, ValueError) as exc:
-        # critlab raises ValueError only for out-of-range arguments
+        # critlab raises ValueError for bad input, a CritlabError for solver outcomes
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NotConverged as exc:

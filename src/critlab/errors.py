@@ -1,4 +1,9 @@
-"""Exception types raised by critlab solvers and utilities."""
+"""Exception types raised by critlab solvers and utilities.
+
+Bad input, such as an argument outside the paper's hypotheses or a
+solver's range, raises ValueError; the CLI also raises ConfigError for a
+config it cannot use.  Every other CritlabError is a solver or I/O outcome.
+"""
 
 
 class CritlabError(Exception):
@@ -27,24 +32,8 @@ class IterationStall(CritlabError):
     """Inverse iteration failed to converge within max_iters."""
 
 
-class OriginOutside(CritlabError):
-    """Domain does not contain 0 as an interior point."""
-
-
-class NonIntegrableWeight(CritlabError):
-    """Weight exponent makes the integral divergent near the origin."""
-
-
-class ZeroFunction(CritlabError):
-    """Operation requires a nonzero grid function."""
-
-
 class MassViolation(CritlabError):
-    """Grid function does not satisfy the unit-mass constraint."""
-
-
-class DomainTooSmall(CritlabError):
-    """Cutoff support B_{2R}(0) does not fit inside the domain."""
+    """A solver result lost the unit-mass constraint."""
 
 
 class NotConverged(CritlabError):
@@ -60,10 +49,6 @@ class NotConverged(CritlabError):
 
 class NonPositive(CritlabError):
     """Flow iterate lost positivity even at the minimum time step."""
-
-
-class InsufficientSpan(CritlabError):
-    """Not enough records (or gap decades) to fit scaling laws."""
 
 
 class IoFailure(CritlabError):

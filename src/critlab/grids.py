@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonIntegrableWeight, OriginOutside, ZeroFunction
 from .params import surface_area
 from .quadrature import cell_weight_integrals, hat_weights
 
@@ -24,10 +23,6 @@ class Interval:
 
     x_lo: float
     x_hi: float
-
-    @property
-    def contains_origin(self) -> bool:
-        return self.x_lo < 0.0 < self.x_hi
 
     @property
     def dimension(self) -> int:
@@ -44,10 +39,6 @@ class Ball:
 
     N: int
     radius: float
-
-    @property
-    def contains_origin(self) -> bool:
-        return True
 
     @property
     def dimension(self) -> int:
@@ -96,11 +87,9 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
     """Uniform grid with ``resolution`` cells."""
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16, got {resolution}")
-    if not domain.contains_origin:
-        raise OriginOutside(f"domain {domain} does not contain 0 in its interior")
     if isinstance(domain, Interval):
-        if not domain.x_lo < domain.x_hi:
-            raise ValueError("interval requires x_lo < x_hi")
+        if not domain.x_lo < 0.0 < domain.x_hi:
+            raise ValueError(f"domain {domain} does not contain 0 in its interior")
         nodes = np.linspace(domain.x_lo, domain.x_hi, resolution + 1)
         h = (domain.x_hi - domain.x_lo) / resolution
     else:
@@ -183,7 +172,7 @@ def hat_masses(grid: Grid, weight_exponent: float) -> np.ndarray:
     """
     limit = -min(2.0, float(grid.domain.dimension))
     if weight_exponent <= limit:
-        raise NonIntegrableWeight(
+        raise ValueError(
             f"weight exponent {weight_exponent} not integrable near 0 in dimension "
             f"{grid.domain.dimension} (needs > {limit})"
         )
@@ -271,7 +260,7 @@ def normalize_mass(g: GridFunction) -> GridFunction:
     """Rescale to unit mass; idempotent at round-off level."""
     m = mass(g)
     if m <= 0.0:
-        raise ZeroFunction("cannot normalize a grid function with zero L2 norm")
+        raise ValueError("cannot normalize a grid function with zero L2 norm")
     return g.with_values(g.values / math.sqrt(m))
 
 

@@ -16,7 +16,6 @@ that could move the mass identity by the identity tolerance.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -212,41 +211,6 @@ class GroundStateData:
             "moments": {repr(k): v for k, v in self.moments.items()},
             "meta": self.meta,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GroundStateData":
-        if d.get("format") != "critlab.groundstate/1":
-            raise ValueError(f"unsupported ground-state document: {d.get('format')!r}")
-        params = GNParams(int(d["params"]["N"]), float(d["params"]["b"]), float(d["params"]["a"]))
-        prof = d["profile"]
-        profile = RadialProfile(
-            nodes=np.asarray(prof["nodes"]),
-            values=np.asarray(prof["values"]),
-            derivs=np.asarray(prof["derivs"]),
-            r_max=prof["r_max"],
-            startup_amplitude=prof["startup_amplitude"],
-            tail_coeff=prof["tail_coeff"],
-            tail_start=prof["tail_start"],
-        )
-        return cls(
-            params=params,
-            profile=profile,
-            l2_sq=d["l2_sq"],
-            grad_sq=d["grad_sq"],
-            nonlinear_int=d["nonlinear_int"],
-            a_star=d["a_star"],
-            moments={float(k): v for k, v in d["moments"].items()},
-            meta=d.get("meta", {}),
-        )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _hermite_interp(nodes, values, derivs, r):
@@ -599,8 +563,8 @@ def _profile_grid(gs: GroundStateData) -> Grid:
     """Grid on the profile's own nodes; r_max carries the Dirichlet row and
     the first node r0 > 0 closes with the natural (Neumann) condition.
 
-    Its step h is the widest cell, the uniform march step: a loaded
-    document need not carry the solver's meta.
+    Its step h is the widest cell, the uniform march step: a ground state
+    need not carry the solver's meta.
     """
     r = gs.profile.nodes
     return Grid(domain=Ball(gs.params.N, gs.profile.r_max), nodes=r, h=float(np.max(np.diff(r))))

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import (
-    DomainTooSmall,
-    MassViolation,
-    NonPositive,
-    NotConverged,
-    ZeroFunction,
-)
+from .errors import NonPositive, NotConverged
 from .grids import (
     Grid,
     GridFunction,
@@ -147,7 +141,7 @@ def evaluate_energy(
     sys_ = _System(u.grid, params, spec)
     m = sys_.mass(u.values)
     if abs(m - 1.0) > _MASS_TOL:
-        raise MassViolation(f"|mass - 1| = {abs(m - 1.0):.3g} exceeds {_MASS_TOL}")
+        raise ValueError(f"|mass - 1| = {abs(m - 1.0):.3g} exceeds {_MASS_TOL}")
     return sys_.energy(u.values)[0]
 
 
@@ -156,7 +150,7 @@ def gn_quotient(u: GridFunction, params: GNParams) -> float:
     sys_ = _System(u.grid, params, None)
     m = sys_.mass(u.values)
     if m <= 0.0:
-        raise ZeroFunction("quotient undefined for the zero function")
+        raise ValueError("quotient undefined for the zero function")
     return dirichlet_form(u) * m**params.beta_sq / sys_.interaction(u.values)
 
 
@@ -165,31 +159,18 @@ def gn_quotient(u: GridFunction, params: GNParams) -> float:
 # ----------------------------------------------------------------------
 
 def _bump(t):
-    """Smooth bump: 1 for t <= 0, exp(1 - 1/(1 - t^2)) on (0, 1), 0 beyond."""
+    """Smooth bump phi(t): 1 for t <= 0, exp(1 - 1/(1 - t^2)) on (0, 1), 0
+    beyond; returns (phi, phi', phi'')."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t <= 0.0] = 1.0
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    out[mid] = np.exp(1.0 - 1.0 / (1.0 - tm * tm))
-    return out
-
-def _bump_d1(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+    out = np.zeros((3,) + t.shape)
+    out[0][t <= 0.0] = 1.0
     mid = (t > 0.0) & (t < 1.0)
     tm = t[mid]
     u = 1.0 / (1.0 - tm * tm)
-    out[mid] = np.exp(1.0 - u) * (-2.0 * tm * u * u)
-    return out
-
-def _bump_d2(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    u = 1.0 / (1.0 - tm * tm)
-    out[mid] = np.exp(1.0 - u) * (4.0 * tm * tm * u**4 - 2.0 * u * u - 8.0 * tm * tm * u**3)
+    e = np.exp(1.0 - u)
+    out[0][mid] = e
+    out[1][mid] = e * (-2.0 * tm * u * u)
+    out[2][mid] = e * (4.0 * tm * tm * u**4 - 2.0 * u * u - 8.0 * tm * tm * u**3)
     return out
 
 
@@ -203,8 +184,8 @@ def _trial_radial_integrals(gs: GroundStateData, tau: float, R: float):
     Rt = R * tau
 
     def cutoff(y):
-        t = y / Rt - 1.0
-        return _bump(t), _bump_d1(t) / Rt, _bump_d2(t) / Rt**2
+        phi, d1, d2 = _bump(y / Rt - 1.0)
+        return phi, d1 / Rt, d2 / Rt**2
 
     i_m, i_k, i_nl = profile_integrals(gs.params, gs.profile, cutoff)
     l2 = gs.l2_sq
@@ -214,13 +195,10 @@ def _trial_radial_integrals(gs: GroundStateData, tau: float, R: float):
 def make_trial_function(
     gs: GroundStateData, grid: Grid, tau: float, R: float | None = None
 ) -> GridFunction:
-    """Cut-off dilated profile with unit mass on the grid.
+    """Cut-off dilated profile q(tau |x|), normalized to unit mass on the grid.
 
     The cutoff radius R defaults to a quarter of the distance from the
-    origin to the boundary.  The profile is first scaled by the continuum
-    normalization constant (its deviation from 1 is the cutoff's mass
-    deficit, superpolynomially small in tau); the grid realization is
-    renormalized exactly afterwards.
+    origin to the boundary.
     """
     if tau <= 0.0:
         raise ValueError("dilation parameter tau must be positive")
@@ -228,16 +206,10 @@ def make_trial_function(
     if R is None:
         R = d / 4.0
     if 2.0 * R >= d:
-        raise DomainTooSmall(f"support radius 2R = {2 * R} reaches the boundary (distance {d})")
+        raise ValueError(f"support radius 2R = {2 * R} reaches the boundary (distance {d})")
 
-    mass_raw, _, _ = _trial_radial_integrals(gs, tau, R)
-    a_tau = 1.0 / math.sqrt(mass_raw)
-
-    x = grid.interior_nodes
-    r = np.abs(x)
-    scale = tau ** (gs.params.N / 2.0) / math.sqrt(gs.l2_sq)
-    vals = a_tau * scale * _bump(r / R - 1.0) * gs.q(tau * r)
-    return normalize_mass(GridFunction(grid, vals))
+    r = np.abs(grid.interior_nodes)
+    return normalize_mass(GridFunction(grid, _bump(r / R - 1.0)[0] * gs.q(tau * r)))
 
 
 def trial_quotient(gs: GroundStateData, tau: float, R: float) -> float:

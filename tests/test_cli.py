@@ -169,21 +169,45 @@ def test_uniqueness_unconverged_starts_fail(tmp_path, capsys):
     )
     assert run_command(["uniqueness", "--config", str(cfg), "--out", str(out)]) == 2
     assert "FAIL  every start converged  (0 of 3)" in capsys.readouterr().out
-    assert json.loads((out / "uniqueness.json").read_text())["n_converged"] == 0
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    rep = json.loads((out / "uniqueness.json").read_text(), parse_constant=reject)
+    assert rep["n_converged"] == 0 and rep["energy_spread_rel"] is None
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, text",
     [
-        ["ground-state", "--r-max", "5"],
-        ["ground-state", "--gs-resolution", "32"],
-        ["minimize", "--resolution", "8"],
-        ["uniqueness", "--n-starts", "2"],
-        ["nonexist", "--a-mult", "1.2", "--taus", "10;5"],
+        pytest.param(["ground-state", "--r-max", "5"], "", id="argv0"),
+        pytest.param(["ground-state", "--gs-resolution", "32"], "", id="argv1"),
+        pytest.param(["minimize", "--resolution", "8"], "", id="argv2"),
+        pytest.param(["uniqueness", "--n-starts", "2"], "", id="argv3"),
+        pytest.param(["nonexist", "--a-mult", "1.2", "--taus", "10;5"], "", id="argv4"),
+        # inputs that break a hypothesis are bad input, not solver outcomes
+        pytest.param(["minimize"], "[domain]\nx_lo = 1.0\n", id="origin-outside"),
+        pytest.param(
+            ["nonexist", "--a-mult", "1.2"], "[trial]\ncutoff_radius = 5\n", id="support-past-boundary"
+        ),
+        # no node within R of 0, so the trial function vanishes on the grid
+        pytest.param(
+            ["nonexist", "--a-mult", "1.2"],
+            "[trial]\ncutoff_radius = 1e-6\n[domain]\nx_hi = 8.1\n",
+            id="zero-trial",
+        ),
+        # three records are left after dropping the widest two
+        pytest.param(
+            ["sweep", "--gs-resolution", "512", "--resolution", "512"],
+            "[sweep]\nn_points = 5\n",
+            id="short-sweep",
+        ),
     ],
 )
-def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv):
-    code = run_command(argv + ["--out", str(tmp_path / "out")])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
@@ -218,9 +242,17 @@ def test_minimize_above_threshold_fails(tmp_path, capsys, resolution):
     assert (out / "minimizer.json").exists()
 
 
-def test_verify_all_command(tmp_path, capsys):
+def test_verify_all_command(tmp_path, capsys, monkeypatch):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_ground_state(*args, **kwargs)
+
+    monkeypatch.setattr("critlab.cli.solve_ground_state", counted)
     out = tmp_path / "va"
     assert run_command(["verify-all", "--out", str(out)]) == 0
+    assert len(solves) == 1  # the four commands share the (1, 0.5) ground state
     text = capsys.readouterr().out
     assert "ALL CHECKS PASS" in text
     assert "FAIL" not in text

@@ -8,9 +8,6 @@ from critlab import (
     Ball,
     GridFunction,
     Interval,
-    NonIntegrableWeight,
-    OriginOutside,
-    ZeroFunction,
     build_grid,
     integrate,
     integrate_nodal,
@@ -37,7 +34,7 @@ def test_build_grid_counts():
 
 
 def test_origin_must_be_interior():
-    with pytest.raises(OriginOutside):
+    with pytest.raises(ValueError, match="does not contain 0 in its interior"):
         build_grid(Interval(0.5, 1.0), 64)
     with pytest.raises(ValueError):
         build_grid(Interval(-1.0, 1.0), 8)
@@ -94,7 +91,7 @@ def test_hat_masses_built_once_read_only():
     assert hat_masses(g, -0.5) is w
     with pytest.raises(ValueError):
         w[0] = 1.0
-    with pytest.raises(NonIntegrableWeight):
+    with pytest.raises(ValueError, match="not integrable near 0"):
         hat_masses(g, -1.0)
 
 
@@ -133,11 +130,11 @@ def test_singular_quadrature_convergence_order():
 def test_nonintegrable_weight():
     g = build_grid(Interval(-1.0, 1.0), 64)
     u = GridFunction(g, np.ones(g.n_interior))
-    with pytest.raises(NonIntegrableWeight):
+    with pytest.raises(ValueError, match="not integrable near 0 in dimension 1"):
         integrate(u, -1.0)
     g2 = build_grid(Ball(2, 1.0), 64)
     u2 = GridFunction(g2, np.ones(g2.n_interior))
-    with pytest.raises(NonIntegrableWeight):
+    with pytest.raises(ValueError, match="not integrable near 0 in dimension 2"):
         integrate(u2, -2.0)
     integrate(u2, -1.5)  # integrable in two dimensions
 
@@ -149,7 +146,7 @@ def test_normalize_mass():
     assert mass(n) == pytest.approx(1.0, abs=1e-14)
     again = normalize_mass(n)
     assert np.allclose(again.values, n.values, rtol=0, atol=1e-15)
-    with pytest.raises(ZeroFunction):
+    with pytest.raises(ValueError, match="zero L2 norm"):
         normalize_mass(GridFunction(g, np.zeros(g.n_interior)))
 
 

@@ -168,16 +168,6 @@ def test_bracket_failure(monkeypatch):
         solve_ground_state(GNParams(1, 0.5), resolution=256, shoot_tol=1e-9, r_max=25.0)
 
 
-def test_serialization_round_trip(gs105, tmp_path):
-    path = tmp_path / "gs.json"
-    gs105.save(path)
-    back = type(gs105).load(path)
-    assert back.a_star == gs105.a_star
-    assert back.l2_sq == gs105.l2_sq
-    assert np.array_equal(back.profile.values, gs105.profile.values)
-    assert back.params == gs105.params
-
-
 def test_linearized_probe(gs31):
     pr = linearized_probe(gs31)
     assert pr.eigenvalue < 0.0
@@ -208,8 +198,6 @@ def test_linearized_probe_converges_in_one_dimension():
     # in one dimension the fine startup cells give the stiffness large rows;
     # the Rayleigh quotient must not lose the digits the stopping test needs
     gs = solve_ground_state(GNParams(1, 0.25), resolution=4096)
-    doc = gs.to_json_dict()
-    del doc["meta"]  # a loaded document need not carry the solver's meta
-    pr = linearized_probe(type(gs).from_json_dict(doc))
+    pr = linearized_probe(dataclasses.replace(gs, meta={}))  # the probe needs no solver meta
     assert pr.eigenvalue < 0.0
     assert pr.iterations <= 10

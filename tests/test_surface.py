@@ -17,8 +17,8 @@ import critlab
 from critlab import FlowConfig
 
 MAX_SETTABLE = 21
-MAX_PUBLIC_NAMES = 65
-MAX_SRC_LINES = 2977
+MAX_PUBLIC_NAMES = 60
+MAX_SRC_LINES = 2889
 
 
 def _defaulted_parameters():
