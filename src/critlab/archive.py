@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
+import numpy as np
+
+from .asymptotics import SweepRecord
 from .errors import IoFailure
 
 FORMAT = "critlab.archive/1"
@@ -27,27 +31,29 @@ class RunArchive:
         self.files[name] = content
 
     def add_json(self, name: str, obj) -> None:
-        self.files[name] = json.dumps(obj, sort_keys=True, indent=1)
+        self.files[name] = json.dumps(_plain(obj), sort_keys=True, indent=1)
+
+
+def _plain(obj):
+    """JSON form: a dataclass is its fields, an array or tuple a list, NaN null."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
 
 
 def sweep_csv(records) -> str:
-    """CSV for sweep records; the comment line documents the columns."""
-    lines = ["# a,gap,energy,eps,mu,errL2,errSup,iters"]
+    """CSV with one column per SweepRecord field, named in the comment line."""
+    names = [f.name for f in fields(SweepRecord)]
+    lines = ["# " + ",".join(names)]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    fmt(r.a),
-                    fmt(r.gap),
-                    fmt(r.energy),
-                    fmt(r.eps),
-                    fmt(r.mu),
-                    fmt(r.profile_err_l2),
-                    fmt(r.profile_err_sup),
-                    str(r.iterations),
-                ]
-            )
-        )
+        values = (getattr(r, name) for name in names)
+        lines.append(",".join(str(v) if isinstance(v, int) else fmt(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -61,24 +67,11 @@ def grid_function_csv(u) -> str:
 
 
 def scaling_fit_json(fit) -> dict:
-    def law(f):
-        return {
-            "exponent": f.exponent,
-            "exponent_halfwidth": f.exponent_halfwidth,
-            "prefactor": f.prefactor,
-            "predicted_exponent": f.predicted_exponent,
-            "predicted_prefactor": f.predicted_prefactor,
-            "exponent_ok": f.exponent_ok,
-            "prefactor_ok": f.prefactor_ok,
-        }
+    return {"format": "critlab.fit/1", **asdict(fit)}
 
-    return {
-        "format": "critlab.fit/1",
-        "energy": law(fit.energy),
-        "eps": law(fit.eps),
-        "n_used": fit.n_used,
-        "gap_decades": fit.gap_decades,
-    }
+
+def groundstate_json(gs) -> dict:
+    return {"format": "critlab.groundstate/1", **asdict(gs)}
 
 
 def write_outputs(archive: RunArchive, out_dir: str) -> dict:

@@ -48,7 +48,6 @@ class SweepRecord:
 @dataclass
 class SweepResult:
     records: list
-    a_star: float
     aborted: bool = False
     message: str | None = None
 
@@ -144,7 +143,7 @@ def run_sweep(
         raise ValueError(f"schedule must stay below a* = {gs.a_star:.8g}")
 
     records: list[SweepRecord] = []
-    result = SweepResult(records=records, a_star=gs.a_star)
+    result = SweepResult(records=records)
     u_prev: GridFunction | None = None
     eps_prev = None
 
@@ -236,26 +235,34 @@ def _fit_log_law(gaps, values, predicted_exponent, predicted_prefactor, exp_band
     )
 
 
+def fit_window(gaps, drop_widest: int):
+    """The gaps the fits use, ascending, and the decades they span.
+
+    The widest ``drop_widest`` gaps are pre-asymptotic and excluded; at
+    least 5 gaps spanning a decade must remain.
+    """
+    kept = sorted(gaps)
+    if drop_widest:
+        kept = kept[:-drop_widest] if drop_widest < len(kept) else []
+    if len(kept) < 5:
+        raise ValueError(f"need at least 5 records after dropping, have {len(kept)}")
+    decades = math.log10(kept[-1] / kept[0])
+    if decades < 1.0:
+        raise ValueError(f"gap span {decades:.2f} decades < 1 decade")
+    return kept, decades
+
+
 def fit_scaling_laws(
     records,
     gs: GroundStateData,
     lam: LambdaConstant,
     drop_widest: int = 2,
 ) -> ScalingFit:
-    """Fit the energy and concentration-scale laws against log gap.
-
-    The widest ``drop_widest`` gaps are pre-asymptotic and excluded; at
-    least 5 records spanning a decade must remain.
-    """
-    recs = sorted(records, key=lambda r: r.gap)
-    if drop_widest:
-        recs = recs[:-drop_widest] if drop_widest < len(recs) else []
-    if len(recs) < 5:
-        raise ValueError(f"need at least 5 records after dropping, have {len(recs)}")
-    gaps = np.array([r.gap for r in recs])
-    decades = math.log10(gaps.max() / gaps.min())
-    if decades < 1.0:
-        raise ValueError(f"gap span {decades:.2f} decades < 1 decade")
+    """Fit the energy and concentration-scale laws against log gap over
+    the records of ``fit_window``."""
+    kept, decades = fit_window([r.gap for r in records], drop_widest)
+    recs = sorted(records, key=lambda r: r.gap)[: len(kept)]
+    gaps = np.array(kept)
     p = lam.p
     energy_fit = _fit_log_law(
         gaps,
@@ -289,16 +296,6 @@ class LimitsReport:
     lemma_bound_margins: tuple
     energy_decreasing: bool
     eps_decreasing: bool
-
-    @property
-    def ok(self) -> bool:
-        return bool(
-            self.mu_eps_ok
-            and self.energy_ratio_ok
-            and self.lemma_bound_ok
-            and self.energy_decreasing
-            and self.eps_decreasing
-        )
 
 
 def lemma_energy_bound(gap: float, gs: GroundStateData, lam: LambdaConstant) -> float:

@@ -20,11 +20,20 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import asymptotics as asy
-from .archive import RunArchive, fmt, grid_function_csv, scaling_fit_json, sweep_csv, write_outputs
+from .archive import (
+    RunArchive,
+    fmt,
+    grid_function_csv,
+    groundstate_json,
+    scaling_fit_json,
+    sweep_csv,
+    write_outputs,
+)
 from .errors import ConfigError, CritlabError, NotConverged
 from .grids import Ball, GridFunction, Interval, build_grid, mass, normalize_mass
 from .groundstate import GroundStateData, solve_ground_state, verify_identities
@@ -190,19 +199,23 @@ def _grid(cfg):
     raise ConfigError(f"unknown domain kind {d['kind']!r}")
 
 
-def _spec(cfg) -> PotentialSpec | None:
+def _spec(cfg, domain) -> PotentialSpec | None:
+    """The configured potential, checked against the paper's assumptions on domain."""
     p = cfg["potential"]
     if p["kind"] == "none":
         return None
     if p["kind"] == "constant":
-        return PotentialSpec(p0=p["p0"], h_kind="constant", h_params=(p["h_value"],), zeros=p["zeros"])
-    if p["kind"] == "poly_abs":
-        return PotentialSpec(p0=p["p0"], h_kind="poly_abs", h_params=p["h_coeffs"], zeros=p["zeros"])
-    if p["kind"] == "tabulated":
-        return PotentialSpec(
+        spec = PotentialSpec(p0=p["p0"], h_kind="constant", h_params=(p["h_value"],), zeros=p["zeros"])
+    elif p["kind"] == "poly_abs":
+        spec = PotentialSpec(p0=p["p0"], h_kind="poly_abs", h_params=p["h_coeffs"], zeros=p["zeros"])
+    elif p["kind"] == "tabulated":
+        spec = PotentialSpec(
             p0=p["p0"], h_kind="tabulated", h_params=p["h_values"], h_nodes=p["h_nodes"], zeros=p["zeros"]
         )
-    raise ConfigError(f"unknown potential kind {p['kind']!r}")
+    else:
+        raise ConfigError(f"unknown potential kind {p['kind']!r}")
+    validate_assumptions(spec, domain)
+    return spec
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,7 +256,7 @@ def cmd_ground_state(cfg, arch) -> list:
     rep = verify_identities(gs)
     print(f"a_star = {fmt(gs.a_star)}")
     print(f"l2_sq = {fmt(gs.l2_sq)}  grad_sq = {fmt(gs.grad_sq)}  nonlinear = {fmt(gs.nonlinear_int)}")
-    arch.add_json("groundstate.json", gs.to_json_dict())
+    arch.add_json("groundstate.json", groundstate_json(gs))
     detail = (
         f"grad {rep.grad_residual:.3e}, nonlinear {rep.nonlinear_residual:.3e}, "
         f"shoot {rep.shoot_residual:.3e}"
@@ -253,7 +266,7 @@ def cmd_ground_state(cfg, arch) -> list:
 
 def cmd_minimize(cfg, arch) -> list:
     grid = _grid(cfg)
-    spec = _spec(cfg)
+    spec = _spec(cfg, grid.domain)
     gs = _solve_gs(cfg)
     a = _resolve_a(cfg, gs)
     if spec is not None and a < gs.a_star:
@@ -269,18 +282,9 @@ def cmd_minimize(cfg, arch) -> list:
         f"iterations = {res.iterations}"
     )
     arch.add("minimizer.csv", grid_function_csv(res.u))
-    arch.add_json(
-        "minimizer.json",
-        {
-            "a": a,
-            "energy": res.energy,
-            "mu": res.mu,
-            "eps": res.eps,
-            "iterations": res.iterations,
-            "residual": res.residual,
-            "profile_csv": "minimizer.csv",
-        },
-    )
+    # the profile itself is minimizer.csv
+    record = {f.name: getattr(res, f.name) for f in fields(res) if f.name != "u"}
+    arch.add_json("minimizer.json", {**record, "a": a, "profile_csv": "minimizer.csv"})
     m = mass(res.u)
     dev = res.mu - res.mu_fit
     checks = [
@@ -298,35 +302,25 @@ def cmd_minimize(cfg, arch) -> list:
 
 def cmd_sweep(cfg, arch) -> list:
     grid = _grid(cfg)
-    spec = _spec(cfg)
+    spec = _spec(cfg, grid.domain)
     if spec is None:
         raise ConfigError("sweep requires a potential with an origin zero (kind != none)")
-    bad = validate_assumptions(spec, grid.domain)
-    if not bad.ok:
-        raise ConfigError("; ".join(bad.violations))
     gs = _solve_gs(cfg)
     lam = compute_lambda(spec, gs)
     s = cfg["sweep"]
     sched = asy.default_gap_schedule(gs.a_star, s["gap_start_mult"], s["gap_ratio"], s["n_points"])
     sched = sorted(set(sched) | {gs.a_star * (1.0 - m) for m in s["extra_gap_mults"]})
+    asy.fit_window([gs.a_star - a for a in sched], s["drop_widest"])  # refuse before any flow
     sw = asy.run_sweep(sched, gs, spec, grid, lam, _flow_cfg(cfg))
     arch.add("sweep.csv", sweep_csv(sw.records))
-    arch.add_json("groundstate.json", gs.to_json_dict())
+    arch.add_json("groundstate.json", groundstate_json(gs))
     print(f"records: {len(sw.records)}  (a_star = {fmt(gs.a_star)}, lambda = {fmt(lam.value)})")
     if sw.aborted:
         return [("sweep completed", False, sw.message)]
     fit = asy.fit_scaling_laws(sw.records, gs, lam, drop_widest=s["drop_widest"])
     lim = asy.check_limits(sw.records, gs, lam)
     arch.add_json("fit.json", scaling_fit_json(fit))
-    arch.add_json(
-        "limits.json",
-        {
-            "mu_eps_sq": lim.mu_eps_sq,
-            "mu_eps_sq_rel_dev": lim.mu_eps_sq_rel_dev,
-            "energy_ratio": lim.energy_ratio,
-            "lemma_bound_margins": list(lim.lemma_bound_margins),
-        },
-    )
+    arch.add_json("limits.json", lim)
     en, ep = fit.energy, fit.eps
     return [
         ("energy exponent", en.exponent_ok, f"{en.exponent:.4f} vs {en.predicted_exponent:.4f}"),
@@ -367,9 +361,9 @@ def cmd_gn_check(cfg, arch) -> list:
     taus = cfg["trial"]["tau_list"]
     # keep 2 R tau_max small enough that the cutoff deficit stays resolvable
     # above the profile's accuracy floor
-    R = cfg["trial"]["cutoff_radius"] or min(
-        grid.domain.origin_distance / 4.0, 12.0 / (2.0 * max(taus))
-    )
+    R = cfg["trial"]["cutoff_radius"]
+    if R is None:
+        R = min(grid.domain.origin_distance / 4.0, 12.0 / (2.0 * max(taus)))
     deficits = [trial_quotient(gs, tau, R) / bound - 1.0 for tau in taus]
     dec = all(d2 < d1 for d1, d2 in zip(deficits, deficits[1:]))
     arch.add_json(
@@ -393,7 +387,7 @@ def cmd_gn_check(cfg, arch) -> list:
 
 def cmd_nonexist(cfg, arch) -> list:
     grid = _grid(cfg)
-    spec = _spec(cfg)
+    spec = _spec(cfg, grid.domain)
     gs = _solve_gs(cfg)
     a = _resolve_a(cfg, gs)
     if a <= gs.a_star:
@@ -424,7 +418,7 @@ def cmd_nonexist(cfg, arch) -> list:
 
 def cmd_uniqueness(cfg, arch) -> list:
     grid = _grid(cfg)
-    spec = _spec(cfg)
+    spec = _spec(cfg, grid.domain)
     gs = _solve_gs(cfg)
     a = _resolve_a(cfg, gs)
     params = gs.params.with_a(a)
@@ -438,17 +432,7 @@ def cmd_uniqueness(cfg, arch) -> list:
     )
     for line in rep.failures:
         print("warning:", line)
-    arch.add_json(
-        "uniqueness.json",
-        {
-            "a": a,
-            "n_converged": rep.n_converged,
-            "max_l2": rep.max_l2_distance,
-            "max_sup": rep.max_sup_distance,
-            "energy_spread_rel": rep.energy_spread_rel if rep.energies else None,  # NaN is not JSON
-            "energies": list(rep.energies),
-        },
-    )
+    arch.add_json("uniqueness.json", {**asdict(rep), "a": a})
     converged = f"{rep.n_converged} of {rep.n_requested}"
     return [("every start converged", rep.n_converged == rep.n_requested, converged)]
 

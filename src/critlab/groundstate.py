@@ -134,25 +134,15 @@ class RadialProfile:
             raise ValueError("profile nodes must be strictly increasing")
 
 
-def _tail_params(N: int):
+def _tail(N, K, r):
+    """Matched tail K r^{-nu} e^{-r} (1 + a1/r + a2/r^2) and its derivative."""
     nu = 0.5 * (N - 1)
     a1 = (N - 1.0) * (N - 3.0) / 8.0
     a2 = (N - 1.0) * (N - 3.0) * (N + 1.0) * (N - 5.0) / 128.0
-    return nu, a1, a2
-
-
-def _tail_value(N, K, r):
-    nu, a1, a2 = _tail_params(N)
-    base = K * r ** (-nu) * np.exp(-r)
-    return base * (1.0 + a1 / r + a2 / r**2)
-
-
-def _tail_deriv(N, K, r):
-    nu, a1, a2 = _tail_params(N)
     base = K * r ** (-nu) * np.exp(-r)
     poly = 1.0 + a1 / r + a2 / r**2
     dpoly = -a1 / r**2 - 2.0 * a2 / r**3
-    return base * (dpoly - (1.0 + nu / r) * poly)
+    return base * poly, base * (dpoly - (1.0 + nu / r) * poly)
 
 
 @dataclass
@@ -185,32 +175,10 @@ class GroundStateData:
         if np.any(lo):
             out[lo] = startup_eval(N, b, s, r[lo])[0]
         if np.any(hi):
-            out[hi] = _tail_value(N, p.tail_coeff, r[hi])
+            out[hi] = _tail(N, p.tail_coeff, r[hi])[0]
         if np.any(mid):
             out[mid] = _hermite_interp(p.nodes, p.values, p.derivs, r[mid])
         return float(out[0]) if scalar else out
-
-    def to_json_dict(self) -> dict:
-        p = self.profile
-        return {
-            "format": "critlab.groundstate/1",
-            "params": {"N": self.params.N, "b": self.params.b, "a": self.params.a},
-            "profile": {
-                "nodes": p.nodes.tolist(),
-                "values": p.values.tolist(),
-                "derivs": p.derivs.tolist(),
-                "r_max": p.r_max,
-                "startup_amplitude": p.startup_amplitude,
-                "tail_coeff": p.tail_coeff,
-                "tail_start": p.tail_start,
-            },
-            "l2_sq": self.l2_sq,
-            "grad_sq": self.grad_sq,
-            "nonlinear_int": self.nonlinear_int,
-            "a_star": self.a_star,
-            "moments": {repr(k): v for k, v in self.moments.items()},
-            "meta": self.meta,
-        }
 
 
 def _hermite_interp(nodes, values, derivs, r):
@@ -385,15 +353,16 @@ def solve_ground_state(
         )
 
     rk = nodes[k]
-    K = values[k] / _tail_value(N, 1.0, rk)
+    K = values[k] / _tail(N, 1.0, rk)[0]
 
     # extend the stored grid to r_max on the uniform step and fill the tail
     if nodes[-1] < r_max - 1e-9 or k < nodes.size - 1:
         keep = nodes[: k + 1]
         extra = np.arange(rk + h, r_max + 0.5 * h, h)
         nodes = np.concatenate([keep, extra])
-        values = np.concatenate([values[: k + 1], _tail_value(N, K, extra)])
-        derivs = np.concatenate([derivs[: k + 1], _tail_deriv(N, K, extra)])
+        tail_values, tail_derivs = _tail(N, K, extra)
+        values = np.concatenate([values[: k + 1], tail_values])
+        derivs = np.concatenate([derivs[: k + 1], tail_derivs])
     tail_start = rk
 
     profile = RadialProfile(

@@ -31,10 +31,6 @@ class GNParams:
         object.__setattr__(self, "beta_sq", (2.0 - self.b) / self.N)
 
     @property
-    def beta(self) -> float:
-        return math.sqrt(self.beta_sq)
-
-    @property
     def nonlinear_power(self) -> float:
         """Power 2 + 2*beta_sq appearing in the interaction integral."""
         return 2.0 + 2.0 * self.beta_sq

@@ -39,8 +39,9 @@ class PotentialSpec:
     zeros: tuple = ()
 
     def __post_init__(self):
-        # value-range violations (p0 <= 0, zero on the boundary, ...) are
-        # representable so validate_assumptions can report them
+        # the checks that need no domain; validate_assumptions makes the rest
+        if self.p0 <= 0.0:
+            raise ValueError("origin exponent must be positive")
         if self.h_kind not in ("constant", "poly_abs", "tabulated"):
             raise ValueError(f"unknown h kind {self.h_kind!r}")
         if self.h_kind == "tabulated" and len(self.h_nodes) != len(self.h_params):
@@ -50,6 +51,12 @@ class PotentialSpec:
         object.__setattr__(
             self, "zeros", tuple((float(x), float(p)) for x, p in self.zeros)
         )
+        locs = [xi for xi, _ in self.zeros]
+        if len(set(locs)) != len(locs) or any(xi == 0.0 for xi in locs):
+            raise ValueError("zeros must be distinct and away from the origin")
+        for xi, pi in self.zeros:
+            if pi <= 0.0:
+                raise ValueError(f"zero at {xi} has non-positive exponent {pi}")
 
     def eval_h(self, x):
         x = np.asarray(x, dtype=float)
@@ -100,8 +107,6 @@ class LambdaConstant:
 def compute_lambda(spec: PotentialSpec, gs: GroundStateData) -> LambdaConstant:
     """lambda = ((p/2) * moment(p) * L0)^{1/(p+2)} from the solved profile."""
     p = spec.p0
-    if p <= 0.0:
-        raise ValueError(f"origin exponent must be positive, got {p}")
     L0 = limit_factor(spec)
     if L0 <= 0.0:
         raise ValueError(f"lambda needs L0 = h(0) prod |x_i|^p_i > 0, got L0 = {L0:.6g}")
@@ -110,26 +115,13 @@ def compute_lambda(spec: PotentialSpec, gs: GroundStateData) -> LambdaConstant:
     return LambdaConstant(p=p, value=value, moment_value=mom, limit_value=L0)
 
 
-@dataclass(frozen=True)
-class PotentialValidation:
-    violations: tuple
+def validate_assumptions(spec: PotentialSpec, domain: Domain) -> None:
+    """Check the assumptions that involve the domain on a dense sample.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_assumptions(spec: PotentialSpec, domain: Domain) -> PotentialValidation:
-    """Check the structural assumptions on a dense sample; report violations."""
+    Raises one ValueError naming every violation.
+    """
     problems: list[str] = []
-    if spec.p0 <= 0.0:
-        problems.append("origin exponent must be positive")
-    locs = [xi for xi, _ in spec.zeros]
-    if len(set(locs)) != len(locs) or any(xi == 0.0 for xi in locs):
-        problems.append("zeros must be distinct and away from the origin")
-    for xi, pi in spec.zeros:
-        if pi <= 0.0:
-            problems.append(f"zero at {xi} has non-positive exponent {pi}")
+    for xi, _ in spec.zeros:
         if isinstance(domain, Interval):
             if not (domain.x_lo < xi < domain.x_hi):
                 problems.append(f"zero at {xi} outside domain")
@@ -141,10 +133,7 @@ def validate_assumptions(spec: PotentialSpec, domain: Domain) -> PotentialValida
         xs = np.linspace(domain.x_lo, domain.x_hi, _N_SAMPLES)
     else:
         xs = np.linspace(0.0, domain.radius, _N_SAMPLES)
-    hv = spec.eval_h(xs)
-    if np.any(hv <= 0.0):
+    if np.any(spec.eval_h(xs) <= 0.0):
         problems.append("h must be strictly positive on the closed domain")
-    vv = eval_potential(spec, xs)
-    if np.any(vv < 0.0):
-        problems.append("potential takes negative values")
-    return PotentialValidation(violations=tuple(problems))
+    if problems:
+        raise ValueError("; ".join(problems))

@@ -192,6 +192,13 @@ def _trial_radial_integrals(gs: GroundStateData, tau: float, R: float):
     return i_m / l2, tau**2 * i_k / l2, tau**2 * i_nl / l2 ** (1.0 + gs.params.beta_sq)
 
 
+def _check_trial(tau: float, R: float) -> None:
+    if tau <= 0.0:
+        raise ValueError("dilation parameter tau must be positive")
+    if R <= 0.0:
+        raise ValueError(f"cutoff radius R must be positive, got {R}")
+
+
 def make_trial_function(
     gs: GroundStateData, grid: Grid, tau: float, R: float | None = None
 ) -> GridFunction:
@@ -200,11 +207,10 @@ def make_trial_function(
     The cutoff radius R defaults to a quarter of the distance from the
     origin to the boundary.
     """
-    if tau <= 0.0:
-        raise ValueError("dilation parameter tau must be positive")
     d = grid.domain.origin_distance
     if R is None:
         R = d / 4.0
+    _check_trial(tau, R)
     if 2.0 * R >= d:
         raise ValueError(f"support radius 2R = {2 * R} reaches the boundary (distance {d})")
 
@@ -218,6 +224,7 @@ def trial_quotient(gs: GroundStateData, tau: float, R: float) -> float:
     Accurate to the profile's own accuracy (~1e-9), which resolves the
     exponentially small cutoff deficit that a coarse domain grid cannot.
     """
+    _check_trial(tau, R)
     mass_raw, kin_raw, nl_raw = _trial_radial_integrals(gs, tau, R)
     return kin_raw * mass_raw**gs.params.beta_sq / nl_raw
 

@@ -224,7 +224,6 @@ def test_check_limits_fields(gs105):
     assert rep.mu_eps_ok and rep.mu_eps_sq == pytest.approx(-gs105.params.beta_sq)
     assert rep.lemma_bound_ok
     assert rep.energy_decreasing and rep.eps_decreasing
-    assert rep.ok == (rep.energy_ratio_ok and True)
 
 
 def test_predicted_prefactors_closed_forms(gs105):

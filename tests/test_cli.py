@@ -1,9 +1,11 @@
 import inspect
 import json
+from dataclasses import fields
 
 import pytest
 
-from critlab import FlowConfig, solve_ground_state
+import critlab.asymptotics
+from critlab import FlowConfig, LimitsReport, MinimizerResult, UniquenessReport, solve_ground_state
 from critlab.cli import default_config, parse_config, run_command, serialize_config
 from critlab.errors import ConfigError
 
@@ -34,6 +36,9 @@ gap_start_mult = 0.2
 n_points = 5
 drop_widest = 0
 """
+
+
+GN_SMALL = ["gn-check", "--n-random", "50", "--gs-resolution", "1024", "--resolution", "512"]
 
 
 def test_cli_defaults_match_library():
@@ -107,7 +112,9 @@ def test_sweep_command_deterministic(tmp_path, capsys):
     assert m1 == m2
     assert {"sweep.csv", "fit.json", "groundstate.json", "config.cfg"} <= set(m1["files"])
     header = (out1 / "sweep.csv").read_text().splitlines()[0]
-    assert header == "# a,gap,energy,eps,mu,errL2,errSup,iters"
+    assert header == "# a,gap,energy,eps,mu,profile_err_l2,profile_err_sup,iterations"
+    limits = json.loads((out1 / "limits.json").read_text())
+    assert set(limits) == {f.name for f in fields(LimitsReport)}
 
 
 def test_sweep_abort_is_a_fail(tmp_path, capsys):
@@ -153,7 +160,8 @@ def test_uniqueness_command(tmp_path, capsys):
     assert code == 0
     rep = json.loads((out / "uniqueness.json").read_text())
     assert rep["n_converged"] == 3
-    assert rep["max_l2"] < 1e-4
+    assert rep["max_l2_distance"] < 1e-4
+    assert set(rep) == {f.name for f in fields(UniquenessReport)} | {"a"}
     assert "PASS  every start converged  (3 of 3)" in capsys.readouterr().out
 
 
@@ -202,13 +210,34 @@ def test_uniqueness_unconverged_starts_fail(tmp_path, capsys):
             "[sweep]\nn_points = 5\n",
             id="short-sweep",
         ),
+        # potentials outside the paper's form, for every command that builds one
+        pytest.param(["uniqueness", "--n-starts", "3"], "[potential]\nzeros = 0:2\n", id="zero-at-origin"),
+        pytest.param(
+            ["uniqueness", "--n-starts", "3"],
+            "[potential]\np0 = -1\n[flow]\nmax_iters = 50\n",
+            id="negative-origin-exponent",
+        ),
+        pytest.param(GN_SMALL, "[trial]\ncutoff_radius = -0.5\n", id="gn-negative-cutoff"),
+        pytest.param(GN_SMALL, "[trial]\ncutoff_radius = 0\n", id="gn-zero-cutoff"),
+        pytest.param(
+            ["nonexist", "--a-mult", "1.2"], "[trial]\ncutoff_radius = -0.5\n", id="nonexist-negative-cutoff"
+        ),
     ],
 )
-def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv, text):
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, argv, text):
+    flows = []
+    flow = critlab.asymptotics.gradient_flow_minimize
+
+    def counted(*args, **kwargs):
+        flows.append(args)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(critlab.asymptotics, "gradient_flow_minimize", counted)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     code = run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
+    assert flows == []  # a short sweep is refused before its first flow
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -239,7 +268,8 @@ def test_minimize_above_threshold_fails(tmp_path, capsys, resolution):
     )
     assert code == 2
     assert "FAIL  no minimizer for a >= a*" in capsys.readouterr().out
-    assert (out / "minimizer.json").exists()
+    record = json.loads((out / "minimizer.json").read_text())
+    assert set(record) == {f.name for f in fields(MinimizerResult)} - {"u"} | {"a", "profile_csv"}
 
 
 def test_verify_all_command(tmp_path, capsys, monkeypatch):
@@ -264,13 +294,7 @@ def test_verify_all_command(tmp_path, capsys, monkeypatch):
 
 
 def test_gn_check_command(tmp_path):
-    code = run_command(
-        [
-            "gn-check", "--n-random", "50", "--gs-resolution", "1024",
-            "--resolution", "512", "--out", str(tmp_path / "gn"),
-        ]
-    )
-    assert code == 0
+    assert run_command(GN_SMALL + ["--out", str(tmp_path / "gn")]) == 0
 
 
 def test_unwritable_output_dir(tmp_path):

@@ -78,14 +78,19 @@ def test_lambda_tail_unresolved(gs105):
 
 def test_validate_assumptions():
     dom = Interval(-1.0, 1.0)
-    ok = validate_assumptions(PotentialSpec(p0=2.0, zeros=((0.7, 1.0),)), dom)
-    assert ok.ok
-    bad_zero = validate_assumptions(PotentialSpec(p0=2.0, zeros=((1.5, 1.0),)), dom)
-    assert any("outside" in v for v in bad_zero.violations)
-    bad_p0 = validate_assumptions(PotentialSpec(p0=0.0), dom)
-    assert any("positive" in v for v in bad_p0.violations)
-    radial = validate_assumptions(PotentialSpec(p0=2.0, zeros=((0.5, 1.0),)), Ball(2, 1.0))
-    assert any("radial" in v for v in radial.violations)
+    assert validate_assumptions(PotentialSpec(p0=2.0, zeros=((0.7, 1.0),)), dom) is None
+    with pytest.raises(ValueError, match="outside"):
+        validate_assumptions(PotentialSpec(p0=2.0, zeros=((1.5, 1.0),)), dom)
+    with pytest.raises(ValueError, match="outside domain; h must be strictly positive"):
+        validate_assumptions(PotentialSpec(p0=2.0, h_params=(-1.0,), zeros=((1.5, 1.0),)), dom)
+    with pytest.raises(ValueError, match="origin exponent must be positive"):
+        PotentialSpec(p0=0.0)
+    with pytest.raises(ValueError, match="distinct and away from the origin"):
+        PotentialSpec(p0=2.0, zeros=((0.0, 2.0),))
+    with pytest.raises(ValueError, match="non-positive exponent"):
+        PotentialSpec(p0=2.0, zeros=((0.5, -1.0),))
+    with pytest.raises(ValueError, match="radial"):
+        validate_assumptions(PotentialSpec(p0=2.0, zeros=((0.5, 1.0),)), Ball(2, 1.0))
 
 
 def test_potential_continuity_sampled():

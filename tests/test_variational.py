@@ -212,6 +212,16 @@ def test_trial_domain_too_small(gs105):
         make_trial_function(gs105, grid, 10.0, R=0.6)
 
 
+def test_trial_refuses_nonpositive_cutoff(gs105):
+    grid = build_grid(Interval(-1.0, 1.0), 256)
+    with pytest.raises(ValueError, match="cutoff radius R must be positive"):
+        make_trial_function(gs105, grid, 10.0, R=-0.5)
+    with pytest.raises(ValueError, match="cutoff radius R must be positive"):
+        trial_quotient(gs105, 10.0, -0.5)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        trial_quotient(gs105, -10.0, 0.5)
+
+
 # ----------------------------------------------------------------------
 # gradient flow
 # ----------------------------------------------------------------------
