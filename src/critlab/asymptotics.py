@@ -33,7 +33,8 @@ _BOUND_SLACK = 0.05
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One converged solve along the threshold approach."""
+    """One converged solve along the threshold approach; ``iterations`` and
+    ``newton_steps`` count the flow's and Newton's steps as on MinimizerResult."""
 
     a: float
     gap: float
@@ -43,6 +44,7 @@ class SweepRecord:
     profile_err_l2: float
     profile_err_sup: float
     iterations: int
+    newton_steps: int = 0
 
 
 @dataclass
@@ -181,6 +183,7 @@ def run_sweep(
                 profile_err_l2=err_l2,
                 profile_err_sup=err_sup,
                 iterations=res.iterations,
+                newton_steps=res.newton_steps,
             )
         )
         u_prev = res.u

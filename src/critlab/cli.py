@@ -279,7 +279,7 @@ def cmd_minimize(cfg, arch) -> list:
     print(f"a = {fmt(a)}  (a/a_star = {fmt(a / gs.a_star)})")
     print(
         f"energy = {fmt(res.energy)}  mu = {fmt(res.mu)}  eps = {fmt(res.eps)}  "
-        f"iterations = {res.iterations}"
+        f"iterations = {res.iterations}  newton_steps = {res.newton_steps}"
     )
     arch.add("minimizer.csv", grid_function_csv(res.u))
     # the profile itself is minimizer.csv

@@ -1,11 +1,14 @@
-"""Energy functional, constrained gradient flow and trial-function machinery.
+"""Energy functional, constrained minimization and trial-function machinery.
 
-One discrete system (`_System`) sums the energy, the multiplier and the
-stationarity defect from the grid's memoized hat masses and P1 stiffness;
-the flow, the public energy functions and the result scalars all evaluate
-through it, so the flow's fixed point satisfies the discrete Euler-Lagrange
-system to machine precision and the reported multiplier identity closes by
-construction.
+One discrete system (`_System`) sums the energy, the multiplier, the
+stationarity defect and the second variation from the grid's memoized hat
+masses and P1 stiffness; Newton, the flow, the public energy functions and
+the result scalars all evaluate through it, so Newton's root and the flow's
+fixed point solve the same discrete Euler-Lagrange system and the reported
+multiplier identity closes by construction.  A minimization tries
+bordered Newton first and keeps its endpoint only with a certificate that
+it is a strict local minimizer (no tangent descent direction); otherwise
+the gradient flow runs from the same start.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import NonPositive, NotConverged
 from .grids import (
@@ -39,6 +42,8 @@ _DT_MAX = 0.25
 _GROW_EVERY = 250  # accepted steps between time-step increases
 _GROW_FACTOR = 1.4
 _ENERGY_SLACK = 1e-9  # relative energy increase a step may make
+_NEWTON_FLOOR = 1e-8  # smallest fraction of its value a Newton step leaves a node
+_EPS = float(np.finfo(float).eps)
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +107,13 @@ class _System:
         """Nodal defect K u / W + V u - a (Wb / W) |u|^{2 beta^2} u without the mu term."""
         sing = self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq) * u
         return (apply_stiffness(self.grid, u) - sing) / self.W + self.V * u
+
+    def second_variation(self, u, mu: float) -> np.ndarray:
+        """Diagonal of J = K + diag(W V - mu W - (1 + 2 beta^2) a Wb |u|^{2 beta^2}),
+        the Jacobian of K u + W V u - a Wb u^{1+2 beta^2} - mu W u in u; the
+        off-diagonal is the stiffness's."""
+        sing = (self.power - 1.0) * self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq)
+        return stiffness_bands(self.grid)[1] + self.WV - mu * self.W - sing
 
     def fit_multiplier(self, u) -> float:
         """Multiplier minimizing the weighted L2 norm of the stationarity defect."""
@@ -230,17 +242,21 @@ def trial_quotient(gs: GroundStateData, tau: float, R: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# normalized gradient flow
+# normalized gradient flow, finished by Newton
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Stopping rule of the semi-implicit normalized gradient flow.
+    """Stopping rule of the minimization: bordered Newton, else the flow.
 
-    ``tol``: stop once the sup-norm update per unit time falls below it.
-    ``max_iters``: accepted steps before NotConverged.  The time step
-    starts at 1e-2 and adapts within [1e-7, 0.25]; there is no energy
-    floor, so a flow above a* runs until it stops on the grid.
+    ``tol``: Newton stops once the sup-norm defect |F / W| falls below it
+    (or stops falling at its rounding level); the flow stops once its
+    sup-norm update per unit time does, which is that defect smoothed by
+    the implicit step, so the flow's residual can end above ``tol``.
+    ``max_iters``: accepted steps of each method; Newton hands over to
+    the flow when it runs out, the flow raises NotConverged.  The flow's
+    time step starts at 1e-2 and adapts within [1e-7, 0.25]; there is no
+    energy floor, so a flow above a* runs until it stops on the grid.
     """
 
     tol: float = 1e-9
@@ -249,7 +265,12 @@ class FlowConfig:
 
 @dataclass
 class MinimizerResult:
-    """Converged (or partial) minimizer with its derived scalars."""
+    """Converged (or partial) minimizer with its derived scalars.
+
+    ``iterations`` counts the flow's accepted steps (0 when Newton's
+    endpoint is returned); ``newton_steps`` the accepted Newton steps,
+    also those of an attempt the flow took over from.
+    """
 
     u: GridFunction
     energy: float
@@ -260,6 +281,7 @@ class MinimizerResult:
     residual: float
     breakdown: EnergyBreakdown | None = None
     mu_fit: float | None = None
+    newton_steps: int = 0
 
 
 def gradient_flow_minimize(
@@ -268,22 +290,101 @@ def gradient_flow_minimize(
     spec: PotentialSpec | None,
     cfg: FlowConfig = FlowConfig(),
 ) -> MinimizerResult:
-    """Normalized gradient flow to the constrained minimizer.
+    """Constrained minimizer: bordered Newton from the init, else the flow.
 
-    Backward Euler in the Laplacian and the potential, explicit interaction
-    with a multiplier shift (so the fixed point solves the discrete
-    Euler-Lagrange system exactly), renormalization after every step, and
-    time-step adaptation on positivity loss or energy increase.  The
-    potential must be nonnegative on the grid.
+    Newton solves the discrete Euler-Lagrange system and the unit-mass
+    constraint from the normalized init; its endpoint is returned only if
+    every step lowered the defect (down to its rounding level) and the
+    second variation has no negative direction tangent to the constraint
+    (a strict local minimizer).  Otherwise the normalized init goes to
+    the normalized gradient flow, unchanged by the attempt: backward Euler
+    in the Laplacian and the potential, explicit interaction with a
+    multiplier shift (so its fixed point solves the same system),
+    renormalization after every step, and time-step adaptation on
+    positivity loss or energy increase.  The potential must be nonnegative
+    on the grid.
     """
     sys_ = _System(init.grid, params, spec)
     if not np.all(sys_.V >= 0.0):
         raise ValueError(f"the flow needs V >= 0; the smallest sampled V is {np.min(sys_.V):.6g}")
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise ValueError("gradient flow requires a nonnegative, nonzero initial function")
+    u = init.values / math.sqrt(sys_.mass(init.values))
+    u_newton, steps = _newton(sys_, u, cfg)
+    if u_newton is not None:
+        return _build_result(u_newton, sys_, 0, True, steps)
+    return _flow(sys_, u, cfg, steps)
+
+
+def _tangent_negative_count(sys_: _System, u, mu: float) -> int:
+    """Negative directions of J on the tangent space u^T W v = 0.
+
+    Haynsworth inertia additivity on the bordered [[J, W u], [(W u)^T, 0]]
+    gives neg(J) + [u^T W J^{-1} W u > 0] - 1.  Both terms come from one
+    LDL^T recurrence of the tridiagonal J: neg(J) is the Sturm count of its
+    negative pivots d, and u^T W J^{-1} W u = sum y^2 / d with L y = W u,
+    so an eigenvalue of J at rounding level moves both terms together.
+    """
+    d = sys_.second_variation(u, mu)
+    zero_pivot = -_EPS * float(np.max(np.abs(d)))  # counted negative, as in a Sturm count
+    off = stiffness_bands(sys_.grid)[0, 1:].tolist()
+    neg, s, piv, y = 0, 0.0, 1.0, 0.0
+    for a, e, b in zip(d.tolist(), [0.0] + off, (sys_.W * u).tolist()):
+        l = e / piv
+        piv = (a - l * e) or zero_pivot
+        y = b - l * y
+        s += y * y / piv
+        neg += piv < 0.0
+    return neg + (s > 0.0) - 1
+
+
+def _newton(sys_: _System, u, cfg: FlowConfig):
+    """Bordered Newton on F(u, mu) = 0, u^T W u = 1 from unit-mass u >= 0.
+
+    Each step solves J x1 = -F and J x2 = W u, takes dmu from the border,
+    floors each node at a fraction of its value (damping the whole step
+    stalls on underflowing tails) and renormalizes.  Returns the endpoint
+    and the accepted steps, or None and the steps when a step does not
+    decrease the defect above its rounding level, J is singular, the steps
+    run out, or the endpoint is not a strict local minimizer.
+    """
+    off = stiffness_bands(sys_.grid)[0, 1:]
+    mu = sys_.fit_multiplier(u)
+    r = sys_.defect(u) - mu * u
+    res = float(np.max(np.abs(r)))
+    steps = 0
+    while res >= cfg.tol:
+        if steps >= cfg.max_iters:
+            return None, steps
+        wu = sys_.W * u
+        rhs = np.stack((-sys_.W * r, wu), axis=1)
+        *_, x, info = dgtsv(off, sys_.second_variation(u, mu), off, rhs)
+        if info != 0:  # J singular
+            return None, steps
+        dmu = -_dot(wu, x[:, 0]) / _dot(wu, x[:, 1])
+        u_new = np.maximum(u + x[:, 0] + dmu * x[:, 1], _NEWTON_FLOOR * u)
+        u_new /= math.sqrt(sys_.mass(u_new))
+        mu_new = mu + dmu
+        r_new = sys_.defect(u_new) - mu_new * u_new
+        res_new = float(np.max(np.abs(r_new)))
+        if not res_new < res:
+            # stagnation counts as convergence at the defect's rounding
+            # level eps |K| |u| / W (u >= 0 and K's off-diagonal is <= 0)
+            noise = 2.0 * stiffness_bands(sys_.grid)[1] * u - apply_stiffness(sys_.grid, u)
+            if res <= _EPS * float(np.max(noise / sys_.W)):
+                break
+            return None, steps
+        u, mu, r, res = u_new, mu_new, r_new, res_new
+        steps += 1
+    if _tangent_negative_count(sys_, u, mu) != 0:
+        return None, steps
+    return u, steps
+
+
+def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> MinimizerResult:
+    """The normalized gradient flow from unit-mass u >= 0."""
     # zeros in the init (for example beyond a cutoff) are gone after one
     # implicit step: the inverse of the M-matrix is entrywise positive
-    u = init.values / math.sqrt(sys_.mass(init.values))
     p1 = sys_.power - 1.0
     u_pow = u**p1  # u^{1+2 beta^2}, shared by the step and the energy
 
@@ -330,7 +431,7 @@ def gradient_flow_minimize(
             fact = sys_.factor(dt)
             clean_steps = 0
 
-    result = _build_result(u, sys_, iterations, converged)
+    result = _build_result(u, sys_, iterations, converged, newton_steps)
     if not converged:
         raise NotConverged(
             f"flow did not reach tol = {cfg.tol:.2g} in {cfg.max_iters} iterations",
@@ -339,7 +440,7 @@ def gradient_flow_minimize(
     return result
 
 
-def _build_result(u_vals, sys_: _System, iterations, converged) -> MinimizerResult:
+def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps) -> MinimizerResult:
     eb, nl = sys_.energy(u_vals)
     mu_f = sys_.fit_multiplier(u_vals)
     return MinimizerResult(
@@ -352,6 +453,7 @@ def _build_result(u_vals, sys_: _System, iterations, converged) -> MinimizerResu
         residual=sys_.residual(u_vals, mu_f),
         breakdown=eb,
         mu_fit=mu_f,
+        newton_steps=newton_steps,
     )
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +24,8 @@ from critlab import (
     rescale_minimizer,
     run_sweep,
 )
-from critlab.asymptotics import limit_profile
-from critlab.variational import EnergyBreakdown
+from critlab.asymptotics import limit_profile, limit_profile_start
+from critlab.variational import EnergyBreakdown, _System, _flow
 from frozen_values import GROUND_STATES
 
 
@@ -54,7 +55,8 @@ def test_sweep_aborts_on_unresolved_negative_energy(gs205):
 def test_two_zero_potential_first_point(gs105_hi):
     # first point of the |x|^2 |x - 3|^2 sweep: V dt >> 1 near |x| = 8 must
     # not force dt down, so the potential sits in the flow's matrix (an
-    # explicit potential takes 25044 iterations here)
+    # explicit potential takes 25044 iterations here); Newton finishes the
+    # sweep's solve, so the flow alone runs from the sweep's start
     spec = PotentialSpec(p0=2.0, zeros=((3.0, 2.0),))
     lam = compute_lambda(spec, gs105_hi)
     grid = build_grid(Interval(-8.0, 8.0), 2048)
@@ -62,8 +64,14 @@ def test_two_zero_potential_first_point(gs105_hi):
     sw = run_sweep(sched, gs105_hi, spec, grid, lam, FlowConfig())
     assert not sw.aborted, sw.message
     (rec,) = sw.records
-    assert rec.iterations < 1000
+    assert rec.iterations == 0 and rec.newton_steps > 0
     assert rec.energy == pytest.approx(1.0955476348686028, rel=1e-12, abs=0.0)
+    eps = predicted_eps(gs105_hi.a_star - sched[0], gs105_hi, lam)
+    init = limit_profile_start(gs105_hi, grid, eps)
+    system = _System(grid, gs105_hi.params.with_a(sched[0]), spec)
+    res = _flow(system, init.values / math.sqrt(system.mass(init.values)), FlowConfig())
+    assert res.iterations < 1000
+    assert res.energy == pytest.approx(1.0955476348686028, rel=1e-12, abs=0.0)
 
 def test_sweep_structure_and_trends(mini_sweep, gs105):
     sw, lam = mini_sweep
@@ -92,10 +100,11 @@ def test_sweep_abort_returns_prefix(gs105):
     lam = compute_lambda(spec, gs105)
     grid = build_grid(Interval(-8.0, 8.0), 512)
     sched = default_gap_schedule(gs105.a_star, 0.2, 0.5, 3)
-    sw = run_sweep(sched, gs105, spec, grid, lam, FlowConfig(max_iters=5))
+    # Newton takes 4 steps at the first point, so 3 leave it to the flow
+    sw = run_sweep(sched, gs105, spec, grid, lam, FlowConfig(max_iters=3))
     assert sw.aborted
     assert len(sw.records) == 0
-    assert "5 iterations" in sw.message
+    assert "3 iterations" in sw.message
 
 
 def test_sweep_rejects_record_off_unit_mass(gs105, monkeypatch):

@@ -112,7 +112,7 @@ def test_sweep_command_deterministic(tmp_path, capsys):
     assert m1 == m2
     assert {"sweep.csv", "fit.json", "groundstate.json", "config.cfg"} <= set(m1["files"])
     header = (out1 / "sweep.csv").read_text().splitlines()[0]
-    assert header == "# a,gap,energy,eps,mu,profile_err_l2,profile_err_sup,iterations"
+    assert header == "# a,gap,energy,eps,mu,profile_err_l2,profile_err_sup,iterations,newton_steps"
     limits = json.loads((out1 / "limits.json").read_text())
     assert set(limits) == {f.name for f in fields(LimitsReport)}
 
@@ -250,9 +250,23 @@ def test_minimize_solver_failure_exit_code(tmp_path):
         "[problem]\nb = 0.5\na_mult = 0.5\n"
         "[domain]\nresolution = 256\n"
         "[groundstate]\nresolution = 512\n"
-        "[flow]\nmax_iters = 3\n"
+        "[flow]\nmax_iters = 2\n"  # Newton needs 3 steps here
     )
     assert run_command(["minimize", "--config", str(cfg)]) == 2
+
+
+def test_minimize_reports_newton_steps(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(
+        "[problem]\nb = 0.5\na_mult = 0.5\n"
+        "[domain]\nresolution = 256\n"
+        "[groundstate]\nresolution = 512\n"
+    )
+    out = tmp_path / "min"
+    assert run_command(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "iterations = 0  newton_steps = 3" in capsys.readouterr().out
+    record = json.loads((out / "minimizer.json").read_text())
+    assert (record["iterations"], record["newton_steps"]) == (0, 3)
 
 
 @pytest.mark.parametrize("resolution", ["512", "2048"])

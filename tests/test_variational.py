@@ -26,10 +26,23 @@ from critlab import (
 )
 from critlab.potentials import compute_lambda
 from critlab.grids import integrate
-from critlab.variational import _System, _trial_radial_integrals, fit_tau_square_coefficient
+from critlab.asymptotics import limit_profile_start, predicted_eps
+from critlab.variational import (
+    _System,
+    _flow,
+    _tangent_negative_count,
+    _trial_radial_integrals,
+    fit_tau_square_coefficient,
+)
 from frozen_values import MOMENT_COS_SQ
 
 PI24 = math.pi**2 / 4.0
+
+
+def flow_only(init, params, spec, cfg=FlowConfig()):
+    """The flow without the Newton attempt, from the same normalized init."""
+    system = _System(init.grid, params, spec)
+    return _flow(system, init.values / math.sqrt(system.mass(init.values)), cfg)
 
 
 def eigenfunction(grid):
@@ -305,6 +318,89 @@ def test_flow_refuses_negative_potential():
     # at dt = 0.25, K + W/dt + W V is indefinite: the factorization reports it
     with pytest.raises(np.linalg.LinAlgError, match="dpttrf info"):
         _System(grid, GNParams(1, 0.5), spec).factor(0.25)
+
+
+# ----------------------------------------------------------------------
+# Newton and its certificate
+# ----------------------------------------------------------------------
+
+def test_cold_start_stays_on_flow(gs105):
+    # Newton abandons a random start, and the flow runs from the original init
+    grid = build_grid(Interval(-8.0, 8.0), 512)
+    params = gs105.params.with_a(0.9 * gs105.a_star)
+    spec = PotentialSpec(p0=2.0)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        init = GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior))
+        res = gradient_flow_minimize(init, params, spec, FlowConfig())
+        ref = flow_only(init, params, spec)
+        assert np.array_equal(res.u.values, ref.u.values)
+        assert res.iterations == ref.iterations > 0
+
+
+@pytest.mark.parametrize("a_mult", [0.5, 0.999])
+def test_limit_profile_start_newton_matches_flow(gs105, a_mult):
+    grid = build_grid(Interval(-8.0, 8.0), 4096)
+    spec = PotentialSpec(p0=2.0)
+    lam = compute_lambda(spec, gs105)
+    a = a_mult * gs105.a_star
+    params = gs105.params.with_a(a)
+    init = limit_profile_start(gs105, grid, predicted_eps(gs105.a_star - a, gs105, lam))
+    res = gradient_flow_minimize(init, params, spec, FlowConfig())
+    ref = flow_only(init, params, spec)
+    assert res.energy == pytest.approx(ref.energy, rel=1e-10, abs=0.0)
+    assert res.residual <= ref.residual
+    if res.iterations == 0:
+        # Newton's endpoint: unit mass and a strict local minimizer
+        assert res.newton_steps > 0 and mass(res.u) == pytest.approx(1.0, abs=1e-12)
+        assert _tangent_negative_count(_System(grid, params, spec), res.u.values, res.mu_fit) == 0
+    else:
+        # the first full step raised the defect: the flow's own endpoint
+        assert np.array_equal(res.u.values, ref.u.values)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tangent_count_of_dirichlet_modes(k):
+    # at a = 0 the k-th discrete mode of -u'' on (-1, 1) with its eigenvalue
+    # as multiplier is a critical point with k - 1 descent directions
+    # tangent to the unit-mass sphere (J itself is singular there)
+    grid = build_grid(Interval(-1.0, 1.0), 512)
+    system = _System(grid, GNParams(1, 0.5, a=0.0), None)
+    v = np.sin(k * np.pi * (grid.interior_nodes + 1.0) / 2.0)
+    u = v / math.sqrt(system.mass(v))
+    lam = 2.0 * (1.0 - math.cos(k * math.pi * grid.h / 2.0)) / grid.h**2
+    assert system.residual(u, lam) < 1e-9
+    assert _tangent_negative_count(system, u, lam) == k - 1
+
+
+def test_newton_stops_at_rounding_level(gs105):
+    # tol = 0 is out of reach of any defect: Newton stops where a step no
+    # longer lowers it at its rounding level, and keeps that endpoint
+    grid = build_grid(Interval(-8.0, 8.0), 1024)
+    spec = PotentialSpec(p0=2.0)
+    lam = compute_lambda(spec, gs105)
+    params = gs105.params.with_a(0.5 * gs105.a_star)
+    init = limit_profile_start(gs105, grid, predicted_eps(0.5 * gs105.a_star, gs105, lam))
+    res = gradient_flow_minimize(init, params, spec, FlowConfig(tol=0.0, max_iters=100))
+    assert res.iterations == 0 and res.newton_steps > 0
+    assert res.residual < 1e-11
+
+
+def test_uncertified_newton_endpoint_not_returned(gs105, monkeypatch):
+    import critlab.variational as V
+
+    grid = build_grid(Interval(-8.0, 8.0), 1024)
+    spec = PotentialSpec(p0=2.0)
+    lam = compute_lambda(spec, gs105)
+    params = gs105.params.with_a(0.5 * gs105.a_star)
+    init = limit_profile_start(gs105, grid, predicted_eps(0.5 * gs105.a_star, gs105, lam))
+    assert gradient_flow_minimize(init, params, spec).iterations == 0
+    monkeypatch.setattr(V, "_tangent_negative_count", lambda *args: 1)
+    res = gradient_flow_minimize(init, params, spec)
+    ref = flow_only(init, params, spec)
+    assert res.newton_steps > 0 and res.iterations == ref.iterations > 0
+    assert np.array_equal(res.u.values, ref.u.values)
+
 
 def test_energy_lower_bound_invariant(gs105):
     # with unit mass and V >= 0: E >= (1 - a/a*) kinetic - quadrature slack
