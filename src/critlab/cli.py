@@ -259,7 +259,7 @@ def cmd_ground_state(cfg, arch) -> list:
     arch.add_json("groundstate.json", groundstate_json(gs))
     detail = (
         f"grad {rep.grad_residual:.3e}, nonlinear {rep.nonlinear_residual:.3e}, "
-        f"shoot {rep.shoot_residual:.3e}"
+        f"shoot {rep.shoot_residual:.3e}, marches {gs.meta['marches']}"
     )
     return [("identity chain", rep.passed, detail)]
 

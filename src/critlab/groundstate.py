@@ -2,9 +2,12 @@
 
 The profile solves  q'' + (N-1)/r q' = q - r^{-b} q^{1+g},  g = 2*(2-b)/N,
 on [0, infinity), positive and decaying.  The solver shoots from a startup
-radius r0 (with a matched series through the singular weight), bisects on
-the central amplitude, and replaces the far tail by the matched asymptotic
-form K r^{-(N-1)/2} e^{-r} (1 + a1/r + a2/r^2) before the unstable mode can
+radius r0 (with a matched series through the singular weight) and
+brackets the central amplitude between a march that crosses zero and one
+that does not.  A secant on the mismatch between the march's far-field
+log-derivative and the decaying tail's picks the amplitudes, with bisection
+as the safeguard.  The far tail is replaced by the matched asymptotic form
+K r^{-(N-1)/2} e^{-r} (1 + a1/r + a2/r^2) before the unstable mode can
 pollute it.
 
 The startup radius r0 = (1e-5 (2-b)(N-b))^{1/(2-b)} is where the series'
@@ -37,6 +40,8 @@ _TAIL_SWITCH_BASE = 3e-6  # switch to the matched tail once q/s falls below this
 _S_GUESS = 1.0  # central amplitude the shooting bracket starts from
 _STARTUP_ETA = 1e-5  # first series correction at r0, relative to _S_GUESS
 _S_MIN, _S_MAX = 1e-20, 1e4  # amplitudes the bracket search tries; s* is 5e-19 at (2, 1.9)
+_SECANT_BACKOFF = 4  # march steps between the secant's residual radius and the earlier stop
+_SECANT_BUDGET = 40  # marches after which the bracket is only bisected
 _MOMENT_REL_TOL = 1e-6  # largest truncated-tail share of a moment
 _IDENTITY_TOL = 1e-6  # largest relative residual verify_identities passes
 _PROBE_MAX_ITERS = 60
@@ -198,14 +203,14 @@ def _hermite_interp(nodes, values, derivs, r):
 # shooting march
 # ----------------------------------------------------------------------
 
-def _march(N, b, g, s, r0, h, r_max, store):
+def _march(N, b, g, s, r0, h, r_max):
     """March the radial ODE with RK4 from r0.
 
     Steps grow geometrically out of the startup region (local error of the
     singular right-hand side stays O(step^5 r^{-3-b})), then run uniformly
     at h.  Near the turning region (q below 5% of s) each advance is split
-    in two.  Returns the status, 'cross', 'diverge' or 'end', and with
-    ``store`` also the node, value and derivative arrays.
+    in two.  Returns the status, 'cross', 'diverge' or 'end', and the node,
+    value and derivative arrays of the trajectory up to where it stopped.
     """
     nm1 = N - 1.0
     q, dq = startup_eval(N, b, s, r0)
@@ -213,15 +218,14 @@ def _march(N, b, g, s, r0, h, r_max, store):
     r = r0
     grow = min(_GRADING_PER_H * h, _GRADING_CAP)
 
-    if store:
-        # graded steps run from r0 out to r = h/grow, then uniform h
-        graded_span = max(h / (grow * r0), 2.0)
-        cap = int(r_max / h) + int(math.log(graded_span) / math.log(1.0 + grow)) + 64
-        rs = np.empty(cap)
-        qs = np.empty(cap)
-        dqs = np.empty(cap)
-        rs[0], qs[0], dqs[0] = r, q, dq
-        m = 1
+    # graded steps run from r0 out to r = h/grow, then uniform h
+    graded_span = max(h / (grow * r0), 2.0)
+    cap = int(r_max / h) + int(math.log(graded_span) / math.log(1.0 + grow)) + 64
+    rs = np.empty(cap)
+    qs = np.empty(cap)
+    dqs = np.empty(cap)
+    rs[0], qs[0], dqs[0] = r, q, dq
+    m = 1
 
     status = "end"
     low_q = 0.05 * s
@@ -232,7 +236,6 @@ def _march(N, b, g, s, r0, h, r_max, store):
             step = r_max - r
         nsub = 2 if q < low_q else 1
         hh = step / nsub
-        ok = True
         for _ in range(nsub):
             # RK4 on (q, dq)
             k1q = dq
@@ -256,21 +259,36 @@ def _march(N, b, g, s, r0, h, r_max, store):
             r = r4
             if q <= 0.0:
                 status = "cross"
-                ok = False
                 break
             if dq > 0.0 and (r > 1.0 or q > s):
                 status = "diverge"
-                ok = False
                 break
-        if store:
-            rs[m], qs[m], dqs[m] = r, q, dq
-            m += 1
-        if not ok:
+        rs[m], qs[m], dqs[m] = r, q, dq
+        m += 1
+        if status != "end":
             break
 
-    if store:
-        return status, rs[:m], qs[:m], dqs[:m]
-    return status
+    return status, rs[:m], qs[:m], dqs[:m]
+
+
+def _secant_step(N, b, g, older, newer):
+    """Secant amplitude through the far-field residuals of two marches.
+
+    The residual is the mismatch of a march's log-derivative with the matched
+    tail's, its decay rate 1 replaced by sqrt(1 - r^-b q^g); far out it is
+    linear in the amplitude's error.  Both residuals are taken a few steps
+    before the earlier march stops, so the radius grows as the amplitudes
+    converge.  Returns nan when they coincide.
+    """
+    k = max(min(older[1][1].size, newer[1][1].size) - 1 - _SECANT_BACKOFF, 0)
+    f = []
+    for _, (_, rs, qs, dqs) in (older, newer):
+        r, q = float(rs[k]), float(qs[k])
+        value, deriv = _tail(N, 1.0, r)
+        decay = math.sqrt(max(1.0 - r ** -b * q**g, 0.0))
+        f.append(float(dqs[k]) - (float(deriv / value) + 1.0 - decay) * q)
+    (s1, s2), (f1, f2) = (older[0], newer[0]), f
+    return s2 - f2 * (s2 - s1) / (f2 - f1) if f1 != f2 else math.nan
 
 
 # ----------------------------------------------------------------------
@@ -285,10 +303,12 @@ def solve_ground_state(
 ) -> GroundStateData:
     """Shoot for the positive decaying radial profile and derive its constants.
 
-    ``shoot_tol`` is the relative bisection width on the central amplitude;
-    ``resolution`` sets the uniform march step h = r_max / resolution.  The
-    startup radius comes from (N, b) and is recorded as ``meta["r0"]``, the
-    tail's estimated shift of the mass identity as ``meta["tail_error"]``.
+    ``shoot_tol`` is the relative width of the final cross/diverge bracket
+    on the central amplitude, ``meta["bracket"]``; ``resolution`` sets the
+    uniform march step h = r_max / resolution.  The startup radius comes
+    from (N, b) and is recorded as ``meta["r0"]``, the tail's estimated
+    shift of the mass identity as ``meta["tail_error"]``, and the number of
+    marches the solve made, bracket search included, as ``meta["marches"]``.
     """
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq
@@ -309,31 +329,55 @@ def solve_ground_state(
         )
     h = r_max / resolution
 
-    # one loop classifies and narrows: halve or double s from the guess
-    # until both sides of the sign change are seen, then bisect
-    s_lo = s_hi = None
-    s = _S_GUESS
+    # one loop classifies and narrows.  Until both sides of the sign change
+    # are seen, s steps away from the guess by factors 2, 4, 16, ...  A
+    # bracket wider than a factor 2 is bisected in log amplitude; inside one,
+    # a secant step on the far-field residuals of the two latest marches
+    # picks s, and a step out of the bracket is replaced by bisection.  Once
+    # a step falls within shoot_tol, marches at +-0.4 shoot_tol about its
+    # estimate close the bracket.  Past _SECANT_BUDGET marches it is only
+    # bisected.
+    s_lo = s_hi = lo_run = last = None  # lo_run: the largest non-crossing amplitude's march
+    s, factor, straddle, marches = _S_GUESS, 2.0, [], 0
     while True:
-        if _march(N, b, g, s, r0, h, r_max, store=False) == "cross":
+        run = _march(N, b, g, s, r0, h, r_max)
+        marches += 1
+        prev, last = last, (s, run)
+        if run[0] == "cross":
             s_hi = s
         else:
-            s_lo = s
+            s_lo, lo_run = s, run
         if s_lo is None or s_hi is None:
-            s = s * 0.5 if s_lo is None else s * 2.0
-            if not _S_MIN <= s <= _S_MAX:
+            if s in (_S_MIN, _S_MAX):
                 raise BracketFailure(
                     f"no sign change of the shooting discriminant for N={N}, b={b} "
                     f"over amplitudes [{_S_MIN:g}, {_S_MAX:g}]"
                 )
-        elif s_hi - s_lo <= shoot_tol * s_hi:
+            s = min(max(s / factor if s_lo is None else s * factor, _S_MIN), _S_MAX)
+            factor *= factor
+            continue
+        if s_hi - s_lo <= shoot_tol * s_hi:
             break
-        else:
+        straddle = [x for x in straddle if s_lo < x < s_hi]
+        if straddle:
+            s = straddle.pop()
+        elif s_hi > 2.0 * s_lo:
+            s = math.sqrt(s_lo * s_hi)
+        elif marches >= _SECANT_BUDGET:
             s = 0.5 * (s_lo + s_hi)
-            if s in (s_lo, s_hi):
-                break  # double precision floor
-
-    # final march on the non-crossing side
-    status, nodes, values, derivs = _march(N, b, g, s_lo, r0, h, r_max, store=True)
+        else:
+            s = _secant_step(N, b, g, prev, last)
+            prev = None  # a march keeps at most lo_run and the latest march alive
+            if abs(s - last[0]) <= shoot_tol * last[0]:
+                straddle = [x for x in (s * (1.0 - 0.4 * shoot_tol), s * (1.0 + 0.4 * shoot_tol))
+                            if s_lo < x < s_hi]
+                s = straddle.pop()  # one lies inside: the bracket is still open
+            elif not s_lo < s < s_hi:
+                s = 0.5 * (s_lo + s_hi)
+        if not s_lo < s < s_hi:
+            break  # double precision floor
+    status, nodes, values, derivs = lo_run
+    del run, prev, last, lo_run  # only the stored profile's arrays outlive the loop
     s_star = 0.5 * (s_lo + s_hi)
 
     # switch to the matched tail before the unstable mode pollutes it;
@@ -406,6 +450,7 @@ def solve_ground_state(
             "h": h,
             "tail_status": status,
             "tail_error": tail_error,
+            "marches": marches,
         },
     )
     return gs

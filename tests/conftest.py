@@ -26,3 +26,16 @@ def gs105_hi():
 @pytest.fixture(scope="session")
 def gs31_hi():
     return solve_ground_state(GNParams(3, 1.0), resolution=16384)
+
+
+@pytest.fixture(scope="session")
+def solved():
+    """Ground state at the default resolution for (N, b), solved once per pair."""
+    cache = {}
+
+    def get(N, b):
+        if (N, b) not in cache:
+            cache[(N, b)] = solve_ground_state(GNParams(N, b))
+        return cache[(N, b)]
+
+    return get

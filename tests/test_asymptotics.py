@@ -65,13 +65,13 @@ def test_two_zero_potential_first_point(gs105_hi):
     assert not sw.aborted, sw.message
     (rec,) = sw.records
     assert rec.iterations == 0 and rec.newton_steps > 0
-    assert rec.energy == pytest.approx(1.0955476348686028, rel=1e-12, abs=0.0)
+    assert rec.energy == pytest.approx(1.0955476348821644, rel=1e-12, abs=0.0)
     eps = predicted_eps(gs105_hi.a_star - sched[0], gs105_hi, lam)
     init = limit_profile_start(gs105_hi, grid, eps)
     system = _System(grid, gs105_hi.params.with_a(sched[0]), spec)
     res = _flow(system, init.values / math.sqrt(system.mass(init.values)), FlowConfig())
     assert res.iterations < 1000
-    assert res.energy == pytest.approx(1.0955476348686028, rel=1e-12, abs=0.0)
+    assert res.energy == pytest.approx(1.0955476348821644, rel=1e-12, abs=0.0)
 
 def test_sweep_structure_and_trends(mini_sweep, gs105):
     sw, lam = mini_sweep

@@ -95,6 +95,9 @@ def test_ground_state_command(tmp_path, capsys):
     assert "PASS" in text
     manifest = json.loads((out / "manifest.json").read_text())
     assert "groundstate.json" in manifest["files"]
+    marches = json.loads((out / "groundstate.json").read_text())["meta"]["marches"]
+    assert 0 < marches <= 25
+    assert f"marches {marches}" in text
     assert "config.cfg" in manifest["files"]
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from critlab import (
@@ -167,3 +168,83 @@ def test_nonuniform_ball_grid_masses_and_stiffness(N):
     assert hat_masses(grid, 0.0).sum() == pytest.approx(shell, rel=1e-14)
     u = GridFunction(grid, 3.0 - grid.interior_nodes)  # |u'| = 1, zero at r = 3
     assert dirichlet_form(u) == pytest.approx(shell, rel=1e-14)
+
+
+# ----------------------------------------------------------------------
+# property tests: hat masses and the Dirichlet form are exact on P1 data
+# ----------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _power_integral(c, d, e):
+    """Integral of |x|^(e-1) over [c, d], with c and d on one side of 0."""
+    return (math.copysign(abs(d) ** e, d) - math.copysign(abs(c) ** e, c)) / e
+
+
+def _p1_weighted_integral(x, z, alpha):
+    """Exact integral of |x|^alpha times the P1 interpolant of z on nodes x."""
+    total = 0.0
+    for i in range(x.size - 1):
+        c, d = x[i], x[i + 1]
+        slope = (z[i + 1] - z[i]) / (d - c)
+        pieces = [(c, 0.0), (0.0, d)] if c < 0.0 < d else [(c, d)]
+        for lo, hi in pieces:
+            # |x|^alpha (z_i + slope (x - c)), and |x|^alpha x integrates to
+            # |x|^(alpha+2) / (alpha+2)
+            m0 = _power_integral(lo, hi, alpha + 1.0)
+            m1 = (abs(hi) ** (alpha + 2.0) - abs(lo) ** (alpha + 2.0)) / (alpha + 2.0)
+            total += (z[i] - slope * c) * m0 + slope * m1
+    return total
+
+
+@st.composite
+def p1_grids(draw):
+    """A non-uniform interval or ball grid, a weight exponent and nodal data."""
+    widths = np.array(draw(st.lists(st.floats(0.02, 1.0), min_size=3, max_size=24)))
+    nodes = np.concatenate(([0.0], np.cumsum(widths)))
+    if draw(st.booleans()):
+        N = draw(st.integers(1, 3))
+        nodes = nodes + draw(st.sampled_from([0.0, 0.05, 0.7]))  # profile grids start off 0
+        domain = Ball(N, float(nodes[-1]))
+    else:
+        # the origin inside a cell, or on an interior node
+        k = draw(st.integers(1, nodes.size - 2))
+        shift = nodes[k] if draw(st.booleans()) else nodes[k - 1] + draw(st.floats(0.1, 0.9)) * widths[k - 1]
+        nodes = nodes - shift
+        domain = Interval(float(nodes[0]), float(nodes[-1]))
+    limit = -min(2.0, float(domain.dimension))
+    alpha = draw(st.floats(limit + 0.05, 3.0))
+    z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=nodes.size, max_size=nodes.size)))
+    return Grid(domain, nodes=nodes, h=float(widths.max())), alpha, z
+
+
+@PROPERTY
+@given(p1_grids())
+def test_hat_masses_exact_on_p1_data(case):
+    grid, alpha, z = case
+    if grid.is_ball:
+        N = grid.domain.N
+        exact = surface_area(N) * _p1_weighted_integral(grid.nodes, z, N - 1.0 + alpha)
+        scale = surface_area(N) * _p1_weighted_integral(grid.nodes, np.abs(z), N - 1.0 + alpha)
+    else:
+        exact = _p1_weighted_integral(grid.nodes, z, alpha)
+        scale = _p1_weighted_integral(grid.nodes, np.abs(z), alpha)
+    assert float(np.dot(hat_masses(grid, alpha), z)) == pytest.approx(exact, rel=1e-12, abs=1e-12 * scale)
+
+
+@PROPERTY
+@given(p1_grids())
+def test_dirichlet_form_exact_on_p1_data(case):
+    grid, _, z = case
+    u = GridFunction(grid, z[grid.interior])
+    full = u.full()
+    x = grid.nodes
+    slope_sq = (np.diff(full) / np.diff(x)) ** 2
+    if grid.is_ball:
+        N = grid.domain.N
+        cell = surface_area(N) * (x[1:] ** N - x[:-1] ** N) / N
+    else:
+        cell = np.diff(x)
+    exact = float(np.sum(slope_sq * cell))
+    assert dirichlet_form(u) == pytest.approx(exact, rel=1e-12)

@@ -14,8 +14,12 @@ from critlab import (
     solve_ground_state,
     verify_identities,
 )
-from critlab.groundstate import _march
+from critlab.groundstate import _march, profile_integrals
 from frozen_values import GROUND_STATES
+
+# the pairs of the benchmark's constants table
+CONSTANT_PAIRS = [(1, 0.25), (1, 0.5), (1, 0.75), (2, 0.5), (2, 1.0), (2, 1.25),
+                  (3, 0.5), (3, 1.0), (3, 1.25)]
 
 
 def test_critical_exponent_relation():
@@ -90,14 +94,69 @@ def test_profile_positive_decreasing_exponential(gs105):
     assert ratio.max() / ratio.min() < 3.0
 
 
-def test_shooting_bracket_is_monotone(gs105):
-    s_lo, s_hi = gs105.meta["bracket"]
-    params = gs105.params
-    h = gs105.meta["h"]
-    g = 2.0 * params.beta_sq
-    r0 = gs105.profile.nodes[0]
-    assert _march(params.N, params.b, g, s_hi * 1.0001, r0, h, 30.0, store=False) == "cross"
-    assert _march(params.N, params.b, g, s_lo * 0.9999, r0, h, 30.0, store=False) in ("diverge", "end")
+@pytest.mark.parametrize("N, b", CONSTANT_PAIRS + [(2, 1.5), (3, 1.75)])
+def test_shooting_bracket_is_monotone(solved, N, b):
+    gs = solved(N, b)
+    s_lo, s_hi = gs.meta["bracket"]
+    h = gs.meta["h"]
+    g = 2.0 * gs.params.beta_sq
+    r0 = gs.profile.nodes[0]
+
+    def status(s):
+        return _march(N, b, g, s, r0, h, 30.0)[0]
+
+    assert status(s_hi) == status(s_hi * 1.0001) == "cross"
+    assert status(s_lo) in ("diverge", "end")
+    assert status(s_lo * 0.9999) in ("diverge", "end")
+    assert s_hi - s_lo <= 1e-13 * s_hi
+    assert gs.meta["marches"] <= 25
+
+
+def test_marches_count_every_march(monkeypatch):
+    import critlab.groundstate as G
+
+    marches = {}
+
+    def counting(*args):
+        marches.setdefault(args[3], []).append(_march(*args))
+        return marches[args[3]][-1]
+
+    monkeypatch.setattr(G, "_march", counting)
+    gs = solve_ground_state(GNParams(2, 1.0), resolution=1024)
+    assert G._S_GUESS in marches  # the bracket search counts too
+    assert gs.meta["marches"] == sum(len(runs) for runs in marches.values())
+    # no amplitude is marched twice: the stored profile is the trajectory of
+    # the last non-crossing march, up to the tail switch
+    assert all(len(runs) == 1 for runs in marches.values())
+    [(status, _, values, _)] = marches[gs.meta["bracket"][0]]
+    k = int(np.searchsorted(gs.profile.nodes, gs.profile.tail_start))
+    assert status != "cross"
+    assert np.array_equal(gs.profile.values[: k + 1], values[: k + 1])
+
+
+def test_secant_falls_back_to_bisection(monkeypatch):
+    # a secant that only crawls cannot keep the bracket from closing
+    import critlab.groundstate as G
+
+    reference = solve_ground_state(GNParams(1, 0.5), resolution=1024)
+    monkeypatch.setattr(G, "_secant_step", lambda N, b, g, older, newer: newer[0] * (1.0 + 3e-13))
+    gs = solve_ground_state(GNParams(1, 0.5), resolution=1024)
+    s_lo, s_hi = gs.meta["bracket"]
+    assert s_hi - s_lo <= 1e-13 * s_hi
+    assert G._SECANT_BUDGET < gs.meta["marches"] <= G._SECANT_BUDGET + 46
+    # amplitudes inside one 1e-13 bracket move a* by a few 1e-12
+    assert gs.a_star == pytest.approx(reference.a_star, rel=1e-10)
+
+
+@pytest.mark.parametrize("N, b", CONSTANT_PAIRS)
+def test_unit_cutoff_integrals_are_the_constants(solved, N, b):
+    gs = solved(N, b)
+
+    def unit(r):
+        return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+
+    integrals = profile_integrals(gs.params, gs.profile, cutoff=unit)
+    assert integrals == (gs.l2_sq, gs.grad_sq, gs.nonlinear_int)
 
 
 def test_moment_definition_and_oracle(gs105):
@@ -154,6 +213,9 @@ def test_large_b_identities_and_oracle(N, b, oracle):
     rep = verify_identities(gs)
     assert rep.passed
     assert max(rep.grad_residual, rep.nonlinear_residual) < 1e-6
+    # at (2, 1.85) the search reaches s* = 1.6e-10 by widening its steps in
+    # log amplitude, not by halving down to it
+    assert gs.meta["marches"] <= 25
     if oracle:
         frozen = GROUND_STATES[(N, b)]
         assert gs.a_star == pytest.approx(frozen["a_star"], rel=1e-7)
@@ -163,8 +225,8 @@ def test_large_b_identities_and_oracle(N, b, oracle):
 def test_bracket_failure(monkeypatch):
     import critlab.groundstate as G
 
-    monkeypatch.setattr(G, "_march", lambda *args, store: "diverge")
-    with pytest.raises(BracketFailure):
+    monkeypatch.setattr(G, "_march", lambda *args: ("diverge", None, None, None))
+    with pytest.raises(BracketFailure, match=r"over amplitudes \[1e-20, 10000\]"):
         solve_ground_state(GNParams(1, 0.5), resolution=256, shoot_tol=1e-9, r_max=25.0)
 
 

@@ -18,7 +18,7 @@ from critlab import FlowConfig
 
 MAX_SETTABLE = 21
 MAX_PUBLIC_NAMES = 60
-MAX_SRC_LINES = 2929
+MAX_SRC_LINES = 2974
 
 
 def _defaulted_parameters():
