@@ -5,7 +5,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -35,9 +35,10 @@ class RunArchive:
 
 
 def _plain(obj):
-    """JSON form: a dataclass is its fields, an array or tuple a list, NaN null."""
+    """JSON form: a dataclass is the fields it compares by (so no memo), an
+    array or tuple a list, NaN null."""
     if is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj) if f.compare}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -67,11 +68,11 @@ def grid_function_csv(u) -> str:
 
 
 def scaling_fit_json(fit) -> dict:
-    return {"format": "critlab.fit/1", **asdict(fit)}
+    return {"format": "critlab.fit/1", **_plain(fit)}
 
 
 def groundstate_json(gs) -> dict:
-    return {"format": "critlab.groundstate/1", **asdict(gs)}
+    return {"format": "critlab.groundstate/1", **_plain(gs)}
 
 
 def write_outputs(archive: RunArchive, out_dir: str) -> dict:

@@ -80,14 +80,12 @@ _SCHEMA = {
         "x_lo": (float, "-8.0"),
         "x_hi": (float, "8.0"),
         "radius": (float, "8.0"),
-        "resolution": (int, "2048"),
+        "resolution": (int, "8192"),
     },
     "potential": {
         "kind": (str, "constant"),  # h form, or 'none' for V = 0
-        "h_value": (float, "1.0"),
-        "h_coeffs": (_floats, "1.0"),
+        "h_params": (_floats, "1.0"),
         "h_nodes": (_floats, ""),
-        "h_values": (_floats, ""),
         "p0": (float, "2.0"),
         "zeros": (_zeros, ""),
     },
@@ -204,16 +202,7 @@ def _spec(cfg, domain) -> PotentialSpec | None:
     p = cfg["potential"]
     if p["kind"] == "none":
         return None
-    if p["kind"] == "constant":
-        spec = PotentialSpec(p0=p["p0"], h_kind="constant", h_params=(p["h_value"],), zeros=p["zeros"])
-    elif p["kind"] == "poly_abs":
-        spec = PotentialSpec(p0=p["p0"], h_kind="poly_abs", h_params=p["h_coeffs"], zeros=p["zeros"])
-    elif p["kind"] == "tabulated":
-        spec = PotentialSpec(
-            p0=p["p0"], h_kind="tabulated", h_params=p["h_values"], h_nodes=p["h_nodes"], zeros=p["zeros"]
-        )
-    else:
-        raise ConfigError(f"unknown potential kind {p['kind']!r}")
+    spec = PotentialSpec(p["p0"], p["kind"], p["h_params"], p["h_nodes"], p["zeros"])
     validate_assumptions(spec, domain)
     return spec
 
@@ -221,7 +210,7 @@ def _spec(cfg, domain) -> PotentialSpec | None:
 @functools.lru_cache(maxsize=1)
 def _ground_state(n, b, shoot_tol, r_max, resolution) -> GroundStateData:
     """Ground state, kept for the last arguments so verify-all's commands share
-    one solve; run_command clears it, since commands add moments to gs.moments."""
+    one solve; run_command clears it, so each command makes its own solve."""
     return solve_ground_state(GNParams(n, b), shoot_tol=shoot_tol, r_max=r_max, resolution=resolution)
 
 
@@ -491,8 +480,6 @@ def cmd_verify_all(cfg, arch) -> list:
     err = abs(res0.energy - math.pi**2 / 4.0)
     checks.append(("Dirichlet baseline energy", err < 1e-3, f"err {err:.2e}"))
 
-    passed = sum(bool(ok) for _, ok, _ in checks)
-    arch.add_json("verify.json", {"n_checks": len(checks), "passed": passed, "ok": passed == len(checks)})
     return checks
 
 
@@ -537,8 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     """Execute one subcommand; returns the process exit status.
 
-    The only place that prints verdicts, writes the run archive and maps
-    the checks to the exit status.
+    The only place that prints verdicts, writes the run archive (the
+    verdicts go to its checks.json) and maps the checks to the exit status.
     """
     args = _build_parser().parse_args(argv)
     _ground_state.cache_clear()
@@ -554,6 +541,7 @@ def run_command(argv) -> int:
         checks = _COMMANDS[args.command](cfg, arch)
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
+        arch.add_json("checks.json", [{"name": n, "ok": bool(ok), "detail": d} for n, ok, d in checks])
         root = os.environ.get(ENV_OUTPUT_ROOT, "critlab-runs")
         write_outputs(arch, args.out or cfg["output"]["dir"] or os.path.join(root, args.command))
     except (ConfigError, ValueError) as exc:

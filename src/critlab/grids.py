@@ -100,7 +100,7 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
     return Grid(domain=domain, nodes=nodes, h=h)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFunction:
     """Nodal values at interior nodes; zero trace on the boundary is implicit."""
 
@@ -108,7 +108,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != (self.grid.n_interior,):
             raise ValueError(
                 f"expected {self.grid.n_interior} interior values, got {self.values.shape}"
@@ -120,7 +120,7 @@ class GridFunction:
         return out
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.grid, np.asarray(values, dtype=float))
+        return GridFunction(self.grid, values)
 
 
 # ----------------------------------------------------------------------

@@ -116,7 +116,7 @@ def _startup_integrals(N: int, b: float, s: float, r0: float, p: float = 0.0):
 # profile containers
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RadialProfile:
     """Radial profile on a startup-graded + uniform grid.
 
@@ -150,7 +150,7 @@ def _tail(N, K, r):
     return base * poly, base * (dpoly - (1.0 + nu / r) * poly)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundStateData:
     """Converged profile plus every derived constant downstream code uses."""
 
@@ -160,8 +160,9 @@ class GroundStateData:
     grad_sq: float
     nonlinear_int: float
     a_star: float
-    moments: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    # moment(gs, p) values keyed by p, filled on first use
+    moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- profile evaluation -------------------------------------------
     def q(self, r):
@@ -306,9 +307,9 @@ def solve_ground_state(
     ``shoot_tol`` is the relative width of the final cross/diverge bracket
     on the central amplitude, ``meta["bracket"]``; ``resolution`` sets the
     uniform march step h = r_max / resolution.  The startup radius comes
-    from (N, b) and is recorded as ``meta["r0"]``, the tail's estimated
-    shift of the mass identity as ``meta["tail_error"]``, and the number of
-    marches the solve made, bracket search included, as ``meta["marches"]``.
+    from (N, b) and is the profile's first node.  ``meta["tail_error"]`` is
+    the tail's estimated shift of the mass identity, and ``meta["marches"]``
+    the number of marches the solve made, bracket search included.
     """
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq
@@ -433,27 +434,21 @@ def solve_ground_state(
             f"the linear tail from r={rk:.3g} drops a term {nu:.2g} of q, moving the mass identity "
             f"by {tail_error:.2g} (> {_IDENTITY_TOL:g}) for N={N}, b={b}: b is too near min(2, N)"
         )
-    gs = GroundStateData(
+    return GroundStateData(
         params=params,
         profile=profile,
         l2_sq=l2_sq,
         grad_sq=grad_sq,
         nonlinear_int=nl_int,
         a_star=l2_sq**params.beta_sq,
-        moments={0.0: l2_sq},
         meta={
-            "s_star": s_star,
             "bracket": [s_lo, s_hi],
-            "shoot_residual": (s_hi - s_lo) / s_hi,
             "resolution": resolution,
-            "r0": r0,
-            "h": h,
             "tail_status": status,
             "tail_error": tail_error,
             "marches": marches,
         },
     )
-    return gs
 
 
 def _ode_second_derivative(params: GNParams, r, q, dq):
@@ -514,7 +509,7 @@ def profile_integrals(params: GNParams, profile: RadialProfile, cutoff=None):
 def moment(gs: GroundStateData, p: float) -> float:
     """Integral of |x|^p q^2 over R^N by radial quadrature.
 
-    Results are cached on ``gs.moments``.  Raises TailUnresolved when the
+    Results are kept in the memo ``gs.moments``.  Raises TailUnresolved when the
     estimated truncated-tail contribution exceeds 1e-6 of the value.
     """
     if p < 0.0:
@@ -556,7 +551,8 @@ def verify_identities(gs: GroundStateData) -> IdentityReport:
     bs = gs.params.beta_sq
     r1 = abs(gs.grad_sq - gs.l2_sq / bs) / gs.l2_sq
     r2 = abs(gs.grad_sq - gs.nonlinear_int / (1.0 + bs)) / gs.grad_sq
-    r3 = float(gs.meta.get("shoot_residual", np.nan))
+    s_lo, s_hi = gs.meta["bracket"]
+    r3 = (s_hi - s_lo) / s_hi
     tol = _IDENTITY_TOL
     passed = bool(r1 < tol and r2 < tol and r3 < tol)
     return IdentityReport(r1, r2, r3, tol, passed)

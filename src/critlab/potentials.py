@@ -44,6 +44,8 @@ class PotentialSpec:
             raise ValueError("origin exponent must be positive")
         if self.h_kind not in ("constant", "poly_abs", "tabulated"):
             raise ValueError(f"unknown h kind {self.h_kind!r}")
+        if not self.h_params:
+            raise ValueError("h needs at least one parameter")
         if self.h_kind == "tabulated" and len(self.h_nodes) != len(self.h_params):
             raise ValueError("tabulated h needs matching nodes and values")
         object.__setattr__(self, "h_params", tuple(float(v) for v in self.h_params))

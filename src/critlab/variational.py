@@ -263,7 +263,7 @@ class FlowConfig:
     max_iters: int = 500_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinimizerResult:
     """Converged (or partial) minimizer with its derived scalars.
 

@@ -182,6 +182,8 @@ def _synthetic_records(gs, lam, pref_e, pref_eps, n=7):
                 profile_err_l2=g,
                 profile_err_sup=g,
                 iterations=1,
+                newton_steps=0,
+                h=0.0,
             )
         )
     return recs
@@ -233,6 +235,12 @@ def test_check_limits_fields(gs105):
     assert rep.mu_eps_ok and rep.mu_eps_sq == pytest.approx(-gs105.params.beta_sq)
     assert rep.lemma_bound_ok
     assert rep.energy_decreasing and rep.eps_decreasing
+    # with h = 0 the allowance is the bound plus 0.25%: one record 2% over is refused
+    over = recs[:3] + [replace(recs[3], energy=recs[3].energy * 1.02 / 0.97)] + recs[4:]
+    rep = check_limits(over, gs105, lam)
+    assert not rep.lemma_bound_ok
+    margins = sorted(rep.lemma_bound_margins)
+    assert margins[-1] == pytest.approx(1.02 / 1.0025, rel=1e-12) and margins[-2] < 1.0
 
 
 def test_predicted_prefactors_closed_forms(gs105):

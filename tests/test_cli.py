@@ -68,6 +68,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     for sec, key in [
         ("groundstate", "r0"), ("groundstate", "identity_tol"),
         ("flow", "dt"), ("flow", "dt_max"), ("flow", "probe_floor"),
+        ("potential", "h_value"), ("potential", "h_coeffs"), ("potential", "h_values"),
     ]:
         with pytest.raises(ConfigError):
             parse_config(f"[{sec}]\n{key} = 1\n")
@@ -115,7 +116,7 @@ def test_sweep_command_deterministic(tmp_path, capsys):
     assert m1 == m2
     assert {"sweep.csv", "fit.json", "groundstate.json", "config.cfg"} <= set(m1["files"])
     header = (out1 / "sweep.csv").read_text().splitlines()[0]
-    assert header == "# a,gap,energy,eps,mu,profile_err_l2,profile_err_sup,iterations,newton_steps"
+    assert header == "# a,gap,energy,eps,mu,profile_err_l2,profile_err_sup,iterations,newton_steps,h"
     limits = json.loads((out1 / "limits.json").read_text())
     assert set(limits) == {f.name for f in fields(LimitsReport)}
 
@@ -220,6 +221,8 @@ def test_uniqueness_unconverged_starts_fail(tmp_path, capsys):
             "[potential]\np0 = -1\n[flow]\nmax_iters = 50\n",
             id="negative-origin-exponent",
         ),
+        pytest.param(["minimize"], "[potential]\nkind = cubic\n", id="unknown-h-kind"),
+        pytest.param(["minimize"], "[potential]\nh_params =\n", id="no-h-params"),
         pytest.param(GN_SMALL, "[trial]\ncutoff_radius = -0.5\n", id="gn-negative-cutoff"),
         pytest.param(GN_SMALL, "[trial]\ncutoff_radius = 0\n", id="gn-zero-cutoff"),
         pytest.param(
@@ -287,6 +290,8 @@ def test_minimize_above_threshold_fails(tmp_path, capsys, resolution):
     assert "FAIL  no minimizer for a >= a*" in capsys.readouterr().out
     record = json.loads((out / "minimizer.json").read_text())
     assert set(record) == {f.name for f in fields(MinimizerResult)} - {"u"} | {"a", "profile_csv"}
+    checks = json.loads((out / "checks.json").read_text())
+    assert any(c["name"] == "no minimizer for a >= a*" and c["ok"] is False for c in checks)
 
 
 def test_verify_all_command(tmp_path, capsys, monkeypatch):
@@ -306,8 +311,45 @@ def test_verify_all_command(tmp_path, capsys, monkeypatch):
     # the four commands' checks plus the panel's own three
     n_pass = sum(line.startswith("PASS  ") for line in text.splitlines())
     assert n_pass == 11
-    report = json.loads((out / "verify.json").read_text())
-    assert report == {"n_checks": n_pass, "passed": n_pass, "ok": True}
+    checks = json.loads((out / "checks.json").read_text())
+    assert len(checks) == 11 and all(c["ok"] is True for c in checks)
+    assert "verify.json" not in json.loads((out / "manifest.json").read_text())["files"]
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        "kind = poly_abs\nh_params = 1.0;0.5\n",
+        "kind = tabulated\nh_nodes = -8;0;8\nh_params = 2;1;2\n",
+    ],
+    ids=["poly_abs", "tabulated"],
+)
+def test_minimize_h_kinds(tmp_path, capsys, potential):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(
+        "[problem]\nb = 0.5\na_mult = 0.5\n"
+        "[domain]\nresolution = 512\n"
+        "[groundstate]\nresolution = 1024\n"
+        "[potential]\n" + potential
+    )
+    out = tmp_path / "min"
+    assert run_command(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    checks = json.loads((out / "checks.json").read_text())
+    assert len(checks) == 3 and all(c["ok"] for c in checks)
+
+
+def test_ground_state_archive_is_the_same_from_every_command(tmp_path):
+    # the ground state is a value: a command that also asks it for moments
+    # (sweep, for lambda) archives the same bytes as ground-state
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(MINI_SWEEP_CFG)
+    gs_out, sweep_out = tmp_path / "gs", tmp_path / "sweep"
+    assert run_command(["ground-state", "--config", str(cfg), "--out", str(gs_out)]) == 0
+    run_command(["sweep", "--config", str(cfg), "--out", str(sweep_out)])
+    text = (gs_out / "groundstate.json").read_bytes()
+    assert (sweep_out / "groundstate.json").read_bytes() == text
+    assert "moments" not in json.loads(text)
 
 
 def test_gn_check_command(tmp_path):

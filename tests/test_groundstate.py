@@ -98,7 +98,7 @@ def test_profile_positive_decreasing_exponential(gs105):
 def test_shooting_bracket_is_monotone(solved, N, b):
     gs = solved(N, b)
     s_lo, s_hi = gs.meta["bracket"]
-    h = gs.meta["h"]
+    h = gs.profile.r_max / gs.meta["resolution"]
     g = 2.0 * gs.params.beta_sq
     r0 = gs.profile.nodes[0]
 
