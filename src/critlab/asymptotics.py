@@ -56,7 +56,7 @@ class SweepResult:
     message: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RescaledProfile:
     """Minimizer in the concentration variable x -> x / eps."""
 

@@ -52,18 +52,23 @@ class Ball:
 Domain = Interval | Ball
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Grid over a domain; the boundary nodes carry the Dirichlet condition.
 
     ``build_grid`` makes uniform grids; nothing here assumes equal spacing.
+    Like every record that holds arrays, a grid equals only itself.
     """
 
     domain: Domain
     nodes: np.ndarray
-    h: float
     # read-only hat masses keyed by weight exponent; "kappa" and "stiffness"
     cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def h(self) -> float:
+        """The widest cell."""
+        return float(np.max(np.diff(self.nodes)))
 
     @property
     def is_ball(self) -> bool:
@@ -91,16 +96,14 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
         if not domain.x_lo < 0.0 < domain.x_hi:
             raise ValueError(f"domain {domain} does not contain 0 in its interior")
         nodes = np.linspace(domain.x_lo, domain.x_hi, resolution + 1)
-        h = (domain.x_hi - domain.x_lo) / resolution
     else:
         if domain.radius <= 0 or domain.N < 1:
             raise ValueError("ball requires positive radius and N >= 1")
         nodes = np.linspace(0.0, domain.radius, resolution + 1)
-        h = domain.radius / resolution
-    return Grid(domain=domain, nodes=nodes, h=h)
+    return Grid(domain=domain, nodes=nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Nodal values at interior nodes; zero trace on the boundary is implicit."""
 
@@ -127,14 +130,15 @@ class GridFunction:
 # weights shared by quadrature, energies and flows
 # ----------------------------------------------------------------------
 
-def _memo(grid: Grid, key, build) -> np.ndarray:
-    """Per-grid cached array, built once and handed out read-only."""
-    arr = grid.cache.get(key)
-    if arr is None:
-        arr = build()
-        arr.flags.writeable = False
-        grid.cache[key] = arr
-    return arr
+def _memo(grid: Grid, key, build):
+    """Per-grid cached array or tuple of arrays, built once and handed out read-only."""
+    out = grid.cache.get(key)
+    if out is None:
+        out = build()
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        grid.cache[key] = out
+    return out
 
 
 def _interval_hat_masses(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -196,11 +200,9 @@ def kinetic_conductances(grid: Grid) -> np.ndarray:
     return _memo(grid, "kappa", build)
 
 
-def stiffness_bands(grid: Grid) -> np.ndarray:
-    """P1 stiffness K on interior nodes in upper banded storage.
-
-    Row 1 is the diagonal; row 0 holds the off-diagonal from column 1 on.
-    """
+def stiffness(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """P1 stiffness K on interior nodes as the (diag, off) pair that LAPACK's
+    tridiagonal routines take; K is symmetric, so off is both off-diagonals."""
 
     def build():
         kappa = kinetic_conductances(grid)
@@ -208,16 +210,15 @@ def stiffness_bands(grid: Grid) -> np.ndarray:
         diag = np.zeros(grid.nodes.size)
         diag[:-1] += kappa
         diag[1:] += kappa
-        return np.stack((np.append(0.0, -kappa[lo : hi - 1]), diag[lo:hi]))
+        return diag[lo:hi], -kappa[lo : hi - 1]
 
     return _memo(grid, "stiffness", build)
 
 
 def apply_stiffness(grid: Grid, u: np.ndarray) -> np.ndarray:
     """K u for interior nodal values u: the one P1 stiffness of the package."""
-    ab = stiffness_bands(grid)
-    off = ab[0, 1:]
-    out = ab[1] * u
+    diag, off = stiffness(grid)
+    out = diag * u
     out[:-1] += off * u[1:]
     out[1:] += off * u[:-1]
     return out

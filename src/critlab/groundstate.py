@@ -24,10 +24,10 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import BracketFailure, IterationStall, SingularStartup, TailUnresolved
-from .grids import Ball, Grid, _dot, hat_masses, kinetic_conductances, stiffness_bands
+from .grids import Ball, Grid, _dot, hat_masses, kinetic_conductances, stiffness
 from .params import GNParams, surface_area
 from .quadrature import hermite_coeffs, integrate_cells
 
@@ -116,7 +116,7 @@ def _startup_integrals(N: int, b: float, s: float, r0: float, p: float = 0.0):
 # profile containers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfile:
     """Radial profile on a startup-graded + uniform grid.
 
@@ -150,7 +150,7 @@ def _tail(N, K, r):
     return base * poly, base * (dpoly - (1.0 + nu / r) * poly)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundStateData:
     """Converged profile plus every derived constant downstream code uses."""
 
@@ -161,12 +161,11 @@ class GroundStateData:
     nonlinear_int: float
     a_star: float
     meta: dict = field(default_factory=dict)
-    # moment(gs, p) values keyed by p, filled on first use
-    moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- profile evaluation -------------------------------------------
     def q(self, r):
-        """Profile value at arbitrary radii (series / Hermite / tail)."""
+        """Profile value at arbitrary radii: the startup series, the cubic
+        Hermite cells the radial quadrature integrates, or the matched tail."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
@@ -183,21 +182,13 @@ class GroundStateData:
         if np.any(hi):
             out[hi] = _tail(N, p.tail_coeff, r[hi])[0]
         if np.any(mid):
-            out[mid] = _hermite_interp(p.nodes, p.values, p.derivs, r[mid])
+            # each radius's cell as a row of its two nodes, and its cubic in r - r_i
+            i = np.clip(np.searchsorted(p.nodes, r[mid], side="right") - 1, 0, p.nodes.size - 2)
+            ends = i[:, None] + np.arange(2)
+            c = hermite_coeffs(p.nodes[ends], p.values[ends], p.derivs[ends])[:, 0]
+            t = r[mid] - p.nodes[i]
+            out[mid] = c[:, 0] + t * (c[:, 1] + t * (c[:, 2] + t * c[:, 3]))
         return float(out[0]) if scalar else out
-
-
-def _hermite_interp(nodes, values, derivs, r):
-    idx = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
-    h = nodes[idx + 1] - nodes[idx]
-    t = (r - nodes[idx]) / h
-    f0, f1 = values[idx], values[idx + 1]
-    d0, d1 = derivs[idx], derivs[idx + 1]
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
-    return h00 * f0 + h * h10 * d0 + h01 * f1 + h * h11 * d1
 
 
 # ----------------------------------------------------------------------
@@ -509,14 +500,11 @@ def profile_integrals(params: GNParams, profile: RadialProfile, cutoff=None):
 def moment(gs: GroundStateData, p: float) -> float:
     """Integral of |x|^p q^2 over R^N by radial quadrature.
 
-    Results are kept in the memo ``gs.moments``.  Raises TailUnresolved when the
-    estimated truncated-tail contribution exceeds 1e-6 of the value.
+    Raises TailUnresolved when the estimated truncated-tail contribution
+    exceeds 1e-6 of the value.
     """
     if p < 0.0:
         raise ValueError("moment exponent p must be nonnegative")
-    key = float(p)
-    if key in gs.moments:
-        return gs.moments[key]
     params, prof = gs.params, gs.profile
     N = params.N
     q, dq = prof.values, prof.derivs
@@ -527,7 +515,6 @@ def moment(gs: GroundStateData, p: float) -> float:
         raise TailUnresolved(
             f"tail estimate {tail:.3g} exceeds {_MOMENT_REL_TOL:.1g} of moment p={p}; increase r_max"
         )
-    gs.moments[key] = value
     return value
 
 
@@ -571,13 +558,8 @@ class LinearizedProbe:
 
 def _profile_grid(gs: GroundStateData) -> Grid:
     """Grid on the profile's own nodes; r_max carries the Dirichlet row and
-    the first node r0 > 0 closes with the natural (Neumann) condition.
-
-    Its step h is the widest cell, the uniform march step: a ground state
-    need not carry the solver's meta.
-    """
-    r = gs.profile.nodes
-    return Grid(domain=Ball(gs.params.N, gs.profile.r_max), nodes=r, h=float(np.max(np.diff(r))))
+    the first node r0 > 0 closes with the natural (Neumann) condition."""
+    return Grid(domain=Ball(gs.params.N, gs.profile.r_max), nodes=gs.profile.nodes)
 
 
 def _nonuniform_second_deriv(r, f):
@@ -646,7 +628,7 @@ def linearized_probe(gs: GroundStateData) -> LinearizedProbe:
     shift = Dm - (1.0 + g) * hat_masses(grid, -b)[inner] * x**g
     # and the [0, r0] singular weight, with q = s on it
     shift[0] -= (1.0 + g) * S * gs.profile.startup_amplitude**g * r0 ** (N - b) / (N - b)
-    bands = stiffness_bands(grid)
+    K_diag, off = stiffness(grid)
     kappa = kinetic_conductances(grid)
 
     def rayleigh(v):  # of D-normalized v; the last cell ends at the Dirichlet node
@@ -656,15 +638,11 @@ def linearized_probe(gs: GroundStateData) -> LinearizedProbe:
     xn = x / math.sqrt(_dot(Dm * x, x))
     sigma = rayleigh(xn)
     it = 0
-    ab = np.zeros((3, grid.n_interior))
-    ab[0, 1:] = ab[2, :-1] = bands[0, 1:]
-    diag = bands[1] + shift
+    diag = K_diag + shift
     while it < _PROBE_MAX_ITERS:
         it += 1
-        ab[1] = diag - sigma * Dm
-        try:
-            y = solve_banded((1, 1), ab, Dm * xn)
-        except np.linalg.LinAlgError:
+        *_, y, info = dgtsv(off, diag - sigma * Dm, off, Dm * xn)
+        if info != 0:  # sigma is an eigenvalue to rounding
             sigma *= 1.0 + 1e-12
             continue
         yn = y / math.sqrt(_dot(Dm * y, y))

@@ -26,7 +26,7 @@ class PotentialSpec:
     """V(x) = h(x) |x|^{p0} prod |x - x_i|^{p_i}.
 
     h_kind is one of:
-      'constant'  -- h = h_params[0]
+      'constant'  -- h = h_params[0], the one-coefficient 'poly_abs'
       'poly_abs'  -- h = sum_k h_params[k] |x|^k
       'tabulated' -- piecewise-linear through (h_nodes, h_params)
     zeros is a tuple of (location, exponent) pairs for the off-origin zeros.
@@ -46,6 +46,8 @@ class PotentialSpec:
             raise ValueError(f"unknown h kind {self.h_kind!r}")
         if not self.h_params:
             raise ValueError("h needs at least one parameter")
+        if self.h_kind == "constant" and len(self.h_params) != 1:
+            raise ValueError(f"constant h takes one parameter, got {len(self.h_params)}")
         if self.h_kind == "tabulated" and len(self.h_nodes) != len(self.h_params):
             raise ValueError("tabulated h needs matching nodes and values")
         object.__setattr__(self, "h_params", tuple(float(v) for v in self.h_params))
@@ -62,15 +64,13 @@ class PotentialSpec:
 
     def eval_h(self, x):
         x = np.asarray(x, dtype=float)
-        if self.h_kind == "constant":
-            return np.full_like(x, self.h_params[0])
-        if self.h_kind == "poly_abs":
-            ax = np.abs(x)
-            out = np.zeros_like(x)
-            for k, c in enumerate(self.h_params):
-                out += c * ax**k
-            return out
-        return np.interp(x, self.h_nodes, self.h_params)
+        if self.h_kind == "tabulated":
+            return np.interp(x, self.h_nodes, self.h_params)
+        ax = np.abs(x)
+        out = np.zeros_like(x)
+        for k, c in enumerate(self.h_params):
+            out += c * ax**k
+        return out
 
 
 def eval_potential(spec: PotentialSpec, x):

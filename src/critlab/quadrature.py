@@ -76,15 +76,17 @@ def cell_moments(lo: np.ndarray, hi: np.ndarray, alpha: float, kmax: int) -> np.
 
 
 def hermite_coeffs(r: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Local cubic coefficients per cell from node values and derivatives."""
+    """Coefficients c[..., k] of (r - r_i)^k of the cubic Hermite cells.
+
+    Node values f and derivatives df run along the last axis, as do the
+    cells; rows of two nodes give just the cells they name.
+    """
     h = np.diff(r)
     slope = np.diff(f) / h
-    c = np.empty((h.size, 4))
-    c[:, 0] = f[:-1]
-    c[:, 1] = df[:-1]
-    c[:, 2] = (3.0 * slope - 2.0 * df[:-1] - df[1:]) / h
-    c[:, 3] = (df[:-1] + df[1:] - 2.0 * slope) / h**2
-    return c
+    d0, d1 = df[..., :-1], df[..., 1:]
+    return np.stack(
+        (f[..., :-1], d0, (3.0 * slope - 2.0 * d0 - d1) / h, (d0 + d1 - 2.0 * slope) / h**2), axis=-1
+    )
 
 
 def integrate_cells(r: np.ndarray, coeffs: np.ndarray, alpha: float) -> float:

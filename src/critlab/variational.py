@@ -28,7 +28,7 @@ from .grids import (
     hat_masses,
     integrate,
     normalize_mass,
-    stiffness_bands,
+    stiffness,
 )
 from .groundstate import GroundStateData, profile_integrals
 from .params import GNParams
@@ -64,9 +64,10 @@ class _System:
     """The discrete problem on one grid: the only place its terms are summed.
 
     Holds the grid's memoized hat masses W (weight 1) and Wb (weight
-    |x|^-b) on interior nodes and the sampled potential V; the P1 stiffness
-    K comes from the grid.  The flow, the energies, the multiplier and the
-    stationarity defect all evaluate through these methods.
+    |x|^-b) on interior nodes, the diagonal and off-diagonal of its P1
+    stiffness K, and the sampled potential V.  The flow, the energies, the
+    multiplier and the stationarity defect all evaluate through these
+    methods.
     """
 
     def __init__(self, grid: Grid, params: GNParams, spec: PotentialSpec | None):
@@ -74,6 +75,7 @@ class _System:
         self.params = params
         self.W = hat_masses(grid, 0.0)[grid.interior]
         self.Wb = hat_masses(grid, -params.b)[grid.interior]
+        self.K_diag, self.K_off = stiffness(grid)
         self.V = (
             np.zeros(grid.n_interior) if spec is None else eval_potential(spec, grid.interior_nodes)
         )
@@ -113,7 +115,7 @@ class _System:
         the Jacobian of K u + W V u - a Wb u^{1+2 beta^2} - mu W u in u; the
         off-diagonal is the stiffness's."""
         sing = (self.power - 1.0) * self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq)
-        return stiffness_bands(self.grid)[1] + self.WV - mu * self.W - sing
+        return self.K_diag + self.WV - mu * self.W - sing
 
     def fit_multiplier(self, u) -> float:
         """Multiplier minimizing the weighted L2 norm of the stationarity defect."""
@@ -131,8 +133,7 @@ class _System:
     def factor(self, dt):
         """LDL^T factor of the tridiagonal K + W / dt + W V, an SPD M-matrix for V >= 0:
         backward Euler in the Laplacian and the potential, explicit interaction."""
-        ab = stiffness_bands(self.grid)
-        d, e, info = dpttrf(ab[1] + self.W / dt + self.WV, ab[0, 1:])
+        d, e, info = dpttrf(self.K_diag + self.W / dt + self.WV, self.K_off)
         if info != 0:
             raise np.linalg.LinAlgError(f"flow matrix not positive definite (dpttrf info {info})")
         return d, e
@@ -263,7 +264,7 @@ class FlowConfig:
     max_iters: int = 500_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimizerResult:
     """Converged (or partial) minimizer with its derived scalars.
 
@@ -279,9 +280,9 @@ class MinimizerResult:
     iterations: int
     converged: bool
     residual: float
-    breakdown: EnergyBreakdown | None = None
-    mu_fit: float | None = None
-    newton_steps: int = 0
+    breakdown: EnergyBreakdown
+    mu_fit: float
+    newton_steps: int
 
 
 def gradient_flow_minimize(
@@ -327,9 +328,8 @@ def _tangent_negative_count(sys_: _System, u, mu: float) -> int:
     """
     d = sys_.second_variation(u, mu)
     zero_pivot = -_EPS * float(np.max(np.abs(d)))  # counted negative, as in a Sturm count
-    off = stiffness_bands(sys_.grid)[0, 1:].tolist()
     neg, s, piv, y = 0, 0.0, 1.0, 0.0
-    for a, e, b in zip(d.tolist(), [0.0] + off, (sys_.W * u).tolist()):
+    for a, e, b in zip(d.tolist(), [0.0] + sys_.K_off.tolist(), (sys_.W * u).tolist()):
         l = e / piv
         piv = (a - l * e) or zero_pivot
         y = b - l * y
@@ -348,7 +348,6 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
     decrease the defect above its rounding level, J is singular, the steps
     run out, or the endpoint is not a strict local minimizer.
     """
-    off = stiffness_bands(sys_.grid)[0, 1:]
     mu = sys_.fit_multiplier(u)
     r = sys_.defect(u) - mu * u
     res = float(np.max(np.abs(r)))
@@ -358,7 +357,7 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
             return None, steps
         wu = sys_.W * u
         rhs = np.stack((-sys_.W * r, wu), axis=1)
-        *_, x, info = dgtsv(off, sys_.second_variation(u, mu), off, rhs)
+        *_, x, info = dgtsv(sys_.K_off, sys_.second_variation(u, mu), sys_.K_off, rhs)
         if info != 0:  # J singular
             return None, steps
         dmu = -_dot(wu, x[:, 0]) / _dot(wu, x[:, 1])
@@ -370,7 +369,7 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
         if not res_new < res:
             # stagnation counts as convergence at the defect's rounding
             # level eps |K| |u| / W (u >= 0 and K's off-diagonal is <= 0)
-            noise = 2.0 * stiffness_bands(sys_.grid)[1] * u - apply_stiffness(sys_.grid, u)
+            noise = 2.0 * sys_.K_diag * u - apply_stiffness(sys_.grid, u)
             if res <= _EPS * float(np.max(noise / sys_.W)):
                 break
             return None, steps

@@ -7,6 +7,7 @@ import pytest
 from critlab import (
     Ball,
     FlowConfig,
+    GNParams,
     GridFunction,
     Interval,
     MassViolation,
@@ -18,11 +19,13 @@ from critlab import (
     compute_lambda,
     default_gap_schedule,
     fit_scaling_laws,
+    gradient_flow_minimize,
     lemma_energy_bound,
     normalize_mass,
     predicted_eps,
     rescale_minimizer,
     run_sweep,
+    solve_ground_state,
 )
 from critlab.asymptotics import limit_profile, limit_profile_start
 from critlab.variational import EnergyBreakdown, _System, _flow
@@ -142,12 +145,32 @@ def test_rescale_synthetic_self_consistency(gs105):
     u = GridFunction(grid, vals)
     fake = MinimizerResult(
         u=u, energy=0.0, mu=0.0, eps=eps, iterations=0, converged=True, residual=0.0,
-        breakdown=EnergyBreakdown(0, 0, 0, 0),
+        breakdown=EnergyBreakdown(0, 0, 0, 0), mu_fit=0.0, newton_steps=0,
     )
     prof, (err_l2, err_sup) = rescale_minimizer(fake, gs105)
     assert prof.scale == eps
     assert err_sup < 1e-12
     assert err_l2 < 1e-12
+
+
+def test_records_solved_twice_compare_by_identity():
+    # two solves of one input: equal arrays in distinct records, and each
+    # record equals only itself and hashes
+    def solve():
+        gs = solve_ground_state(GNParams(1, 0.5), resolution=512)
+        spec = PotentialSpec(p0=2.0)
+        gap = 0.5 * gs.a_star
+        grid = build_grid(Interval(-8.0, 8.0), 256)
+        init = limit_profile_start(gs, grid, predicted_eps(gap, gs, compute_lambda(spec, gs)))
+        res = gradient_flow_minimize(init, gs.params.with_a(gs.a_star - gap), spec)
+        return gs, gs.profile, grid, res.u, res, rescale_minimizer(res, gs)[0]
+
+    first, second = solve(), solve()
+    for a, b in zip(first, second):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+    assert np.array_equal(first[4].u.values, second[4].u.values)
+    assert len(set(first + second)) == 12
 
 
 def test_rescaled_profile_keeps_unit_mass(mini_sweep, gs105):

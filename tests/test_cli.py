@@ -223,6 +223,7 @@ def test_uniqueness_unconverged_starts_fail(tmp_path, capsys):
         ),
         pytest.param(["minimize"], "[potential]\nkind = cubic\n", id="unknown-h-kind"),
         pytest.param(["minimize"], "[potential]\nh_params =\n", id="no-h-params"),
+        pytest.param(["minimize"], "[potential]\nh_params = 1.0; 2.0\n", id="constant-h-two-params"),
         pytest.param(GN_SMALL, "[trial]\ncutoff_radius = -0.5\n", id="gn-negative-cutoff"),
         pytest.param(GN_SMALL, "[trial]\ncutoff_radius = 0\n", id="gn-zero-cutoff"),
         pytest.param(

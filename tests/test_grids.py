@@ -163,7 +163,8 @@ def test_interval_asymmetric_and_straddling_cells():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_nonuniform_ball_grid_masses_and_stiffness(N):
     # unequal cells starting away from the origin, as on a profile grid
-    grid = Grid(Ball(N, 3.0), nodes=np.array([0.5, 0.6, 0.8, 1.2, 2.0, 3.0]), h=0.5)
+    grid = Grid(Ball(N, 3.0), nodes=np.array([0.5, 0.6, 0.8, 1.2, 2.0, 3.0]))
+    assert grid.h == 1.0  # the widest cell
     shell = surface_area(N) * (3.0**N - 0.5**N) / N
     assert hat_masses(grid, 0.0).sum() == pytest.approx(shell, rel=1e-14)
     u = GridFunction(grid, 3.0 - grid.interior_nodes)  # |u'| = 1, zero at r = 3
@@ -216,7 +217,7 @@ def p1_grids(draw):
     limit = -min(2.0, float(domain.dimension))
     alpha = draw(st.floats(limit + 0.05, 3.0))
     z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=nodes.size, max_size=nodes.size)))
-    return Grid(domain, nodes=nodes, h=float(widths.max())), alpha, z
+    return Grid(domain, nodes=nodes), alpha, z
 
 
 @PROPERTY

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critlab import (
     BracketFailure,
@@ -14,7 +15,7 @@ from critlab import (
     solve_ground_state,
     verify_identities,
 )
-from critlab.groundstate import _march, profile_integrals
+from critlab.groundstate import GroundStateData, RadialProfile, _march, profile_integrals
 from frozen_values import GROUND_STATES
 
 # the pairs of the benchmark's constants table
@@ -157,6 +158,27 @@ def test_unit_cutoff_integrals_are_the_constants(solved, N, b):
 
     integrals = profile_integrals(gs.params, gs.profile, cutoff=unit)
     assert integrals == (gs.l2_sq, gs.grad_sq, gs.nonlinear_int)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(1e-6, 2.0),
+    st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=24),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+)
+def test_profile_reproduces_cubic_data_between_nodes(r0, widths, coeffs, fractions):
+    # q() between the first node and the tail is the cubic Hermite cell the
+    # radial quadrature integrates, so cubic node data come back exactly
+    nodes = r0 + np.concatenate(([0.0], np.cumsum(widths)))
+    cubic = np.polynomial.Polynomial(coeffs)
+    profile = RadialProfile(nodes=nodes, values=cubic(nodes), derivs=cubic.deriv()(nodes),
+                            r_max=nodes[-1] + 1.0, startup_amplitude=1.0, tail_coeff=1.0,
+                            tail_start=nodes[-1])
+    gs = GroundStateData(GNParams(1, 0.5), profile, 1.0, 1.0, 1.0, 1.0)
+    r = np.concatenate((nodes[:-1], nodes[0] + np.array(fractions) * (nodes[-1] - nodes[0])))
+    scale = np.polynomial.Polynomial(np.abs(coeffs))(nodes[-1])
+    assert np.max(np.abs(gs.q(r) - cubic(r))) <= 1e-13 * scale
 
 
 def test_moment_definition_and_oracle(gs105):
