@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.linalg.lapack import dgtsv
 from .errors import BracketFailure, IterationStall, SingularStartup, TailUnresolved
 from .grids import Ball, Grid, _dot, hat_masses, kinetic_conductances, stiffness
 from .params import GNParams, surface_area
-from .quadrature import hermite_coeffs, integrate_cells
+from .quadrature import cell_moments, hermite_coeffs
 
 # graded startup steps grow by (1 + _GRADING_PER_H * h) per step: the zone's
 # march error scales like (ratio - 1)^4, so tying the ratio to the uniform
@@ -204,63 +205,57 @@ def _march(N, b, g, s, r0, h, r_max):
     in two.  Returns the status, 'cross', 'diverge' or 'end', and the node,
     value and derivative arrays of the trajectory up to where it stopped.
     """
-    nm1 = N - 1.0
-    q, dq = startup_eval(N, b, s, r0)
-    q, dq = float(q), float(dq)
-    r = r0
+    nm1, mb = N - 1.0, -b
+    q, dq = map(float, startup_eval(N, b, s, r0))
+    r, status, low_q, split = r0, "end", 0.05 * s, False  # split: the last substep was a first half
     grow = min(_GRADING_PER_H * h, _GRADING_CAP)
-
-    # graded steps run from r0 out to r = h/grow, then uniform h
-    graded_span = max(h / (grow * r0), 2.0)
-    cap = int(r_max / h) + int(math.log(graded_span) / math.log(1.0 + grow)) + 64
-    rs = np.empty(cap)
-    qs = np.empty(cap)
-    dqs = np.empty(cap)
-    rs[0], qs[0], dqs[0] = r, q, dq
-    m = 1
-
-    status = "end"
-    low_q = 0.05 * s
-    while r < r_max - 1e-12:
-        # geometric steps out of the startup region, then uniform at h
-        step = min(h, grow * r)
-        if r + step > r_max:
-            step = r_max - r
-        nsub = 2 if q < low_q else 1
-        hh = step / nsub
-        for _ in range(nsub):
-            # RK4 on (q, dq)
-            k1q = dq
-            k1d = q - r ** (-b) * abs(q) ** g * q - nm1 / r * dq
-            r2 = r + 0.5 * hh
-            q2 = q + 0.5 * hh * k1q
-            d2 = dq + 0.5 * hh * k1d
-            k2q = d2
-            k2d = q2 - r2 ** (-b) * abs(q2) ** g * q2 - nm1 / r2 * d2
-            q3 = q + 0.5 * hh * k2q
-            d3 = dq + 0.5 * hh * k2d
-            k3q = d3
-            k3d = q3 - r2 ** (-b) * abs(q3) ** g * q3 - nm1 / r2 * d3
-            r4 = r + hh
-            q4 = q + hh * k3q
-            d4 = dq + hh * k3d
-            k4q = d4
-            k4d = q4 - r4 ** (-b) * abs(q4) ** g * q4 - nm1 / r4 * d4
-            q += hh / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            dq += hh / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
-            r = r4
-            if q <= 0.0:
-                status = "cross"
-                break
-            if dq > 0.0 and (r > 1.0 or q > s):
-                status = "diverge"
-                break
-        rs[m], qs[m], dqs[m] = r, q, dq
-        m += 1
+    rs, qs, dqs = array("d", (r,)), array("d", (q,)), array("d", (dq,))
+    add_r, add_q, add_dq = rs.append, qs.append, dqs.append
+    c, f = nm1 / r, r**mb * abs(q) ** g * q  # the first stage's (N-1)/r and nonlinear term
+    while split or r < r_max - 1e-12:
+        if split:
+            split = False
+        else:
+            # geometric steps out of the startup region, then uniform at h
+            hh = grow * r
+            if hh > h:
+                hh = h
+            if r + hh > r_max:
+                hh = r_max - r
+            if q < low_q:
+                hh, split = hh / 2.0, True
+            hh2, hh6 = 0.5 * hh, hh / 6.0
+        # RK4 on (q, dq); r^-b and (N-1)/r of the midpoint serve stages 2 and 3
+        k1d = q - f - c * dq
+        r2 = r + hh2
+        rb, c = r2**mb, nm1 / r2
+        q2 = q + hh2 * dq
+        d2 = dq + hh2 * k1d
+        k2d = q2 - rb * abs(q2) ** g * q2 - c * d2
+        q3 = q + hh2 * d2
+        d3 = dq + hh2 * k2d
+        k3d = q3 - rb * abs(q3) ** g * q3 - c * d3
+        r = r + hh
+        rb, c = r**mb, nm1 / r
+        q4 = q + hh * d3
+        d4 = dq + hh * k3d
+        k4d = q4 - rb * abs(q4) ** g * q4 - c * d4
+        q += hh6 * (dq + 2.0 * d2 + 2.0 * d3 + d4)
+        dq += hh6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        if q <= 0.0:
+            status = "cross"
+        elif dq > 0.0 and (r > 1.0 or q > s):
+            status = "diverge"
+        else:
+            f = rb * q**g * q  # the next first stage's, at the end radius; q > 0 needs no abs
+            if split:
+                continue
+        add_r(r)
+        add_q(q)
+        add_dq(dq)
         if status != "end":
             break
-
-    return status, rs[:m], qs[:m], dqs[:m]
+    return status, np.frombuffer(rs), np.frombuffer(qs), np.frombuffer(dqs)
 
 
 def _secant_step(N, b, g, older, newer):
@@ -300,7 +295,8 @@ def solve_ground_state(
     uniform march step h = r_max / resolution.  The startup radius comes
     from (N, b) and is the profile's first node.  ``meta["tail_error"]`` is
     the tail's estimated shift of the mass identity, and ``meta["marches"]``
-    the number of marches the solve made, bracket search included.
+    the number of marches the solve made, bracket search included, and
+    ``meta["march_nodes"]`` the trajectory nodes of all of them.
     """
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq
@@ -330,10 +326,11 @@ def solve_ground_state(
     # estimate close the bracket.  Past _SECANT_BUDGET marches it is only
     # bisected.
     s_lo = s_hi = lo_run = last = None  # lo_run: the largest non-crossing amplitude's march
-    s, factor, straddle, marches = _S_GUESS, 2.0, [], 0
+    s, factor, straddle, marches, march_nodes = _S_GUESS, 2.0, [], 0, 0
     while True:
         run = _march(N, b, g, s, r0, h, r_max)
         marches += 1
+        march_nodes += run[1].size
         prev, last = last, (s, run)
         if run[0] == "cross":
             s_hi = s
@@ -438,6 +435,7 @@ def solve_ground_state(
             "tail_status": status,
             "tail_error": tail_error,
             "marches": marches,
+            "march_nodes": march_nodes,
         },
     )
 
@@ -454,16 +452,21 @@ def _exp_tail_integral(R: float, beta: float) -> float:
     )
 
 
-def _radial_quadrature(profile: RadialProfile, N: int, f, df, alpha, startup, tail_sq):
+def _weight(profile: RadialProfile, alpha):
+    """alpha and the cubic moment matrix of r^alpha on the profile cells."""
+    return alpha, cell_moments(profile.nodes[:-1], profile.nodes[1:], alpha, 3)
+
+
+def _radial_quadrature(profile: RadialProfile, N: int, f, df, weight, startup, tail_sq):
     """Sphere factor times the integral over [0, infinity) of r^alpha f.
 
     The startup closed form covers [0, r0], Hermite cells on the profile
-    nodes (f and its derivative df) cover [r0, r_max], and the matched tail
-    bounds the truncated remainder by tail_sq times that of the mass.
-    Returns (value, tail remainder).
+    nodes (f and its derivative df) cover [r0, r_max] against ``weight``
+    (from `_weight`), and the matched tail bounds the truncated remainder
+    by tail_sq times that of the mass.  Returns (value, tail remainder).
     """
-    r = profile.nodes
-    body = integrate_cells(r, hermite_coeffs(r, f, df), alpha)
+    alpha, M = weight
+    body = float(np.sum(M * hermite_coeffs(profile.nodes, f, df)))
     tail = tail_sq * _exp_tail_integral(profile.r_max, alpha - (N - 1.0))
     S = surface_area(N)
     return S * (startup + body + tail), S * tail
@@ -490,11 +493,14 @@ def profile_integrals(params: GNParams, profile: RadialProfile, cutoff=None):
         phi_end = float(cutoff(np.array([profile.r_max]))[0][0])
     su_mass, su_grad, su_nl = _startup_integrals(N, b, profile.startup_amplitude, r[0])
     tail_sq = phi_end * phi_end * profile.tail_coeff * profile.tail_coeff
-    # one integrand pair at a time keeps the peak memory of a fine profile low
-    mass = _radial_quadrature(profile, N, u * u, 2.0 * u * du, nu, su_mass, tail_sq)[0]
-    kinetic = _radial_quadrature(profile, N, du * du, 2.0 * du * d2u, nu, su_grad, tail_sq)[0]
+    # one pair at a time keeps a fine profile's peak memory low; mass and kinetic share r^{N-1}
+    weight = _weight(profile, nu)
+    mass = _radial_quadrature(profile, N, u * u, 2.0 * u * du, weight, su_mass, tail_sq)[0]
+    kinetic = _radial_quadrature(profile, N, du * du, 2.0 * du * d2u, weight, su_grad, tail_sq)[0]
+    del weight
     f, df = u ** (2.0 + g), (2.0 + g) * u ** (1.0 + g) * du
-    return mass, kinetic, _radial_quadrature(profile, N, f, df, nu - b, su_nl, tail_sq)[0]
+    weight_b = _weight(profile, nu - b)
+    return mass, kinetic, _radial_quadrature(profile, N, f, df, weight_b, su_nl, tail_sq)[0]
 
 
 def moment(gs: GroundStateData, p: float) -> float:
@@ -510,7 +516,8 @@ def moment(gs: GroundStateData, p: float) -> float:
     q, dq = prof.values, prof.derivs
     su_mass, _, _ = _startup_integrals(N, params.b, prof.startup_amplitude, prof.nodes[0], p)
     K = prof.tail_coeff
-    value, tail = _radial_quadrature(prof, N, q * q, 2.0 * q * dq, N - 1.0 + p, su_mass, K * K)
+    weight = _weight(prof, N - 1.0 + p)
+    value, tail = _radial_quadrature(prof, N, q * q, 2.0 * q * dq, weight, su_mass, K * K)
     if not np.isfinite(tail) or tail > _MOMENT_REL_TOL * abs(value):
         raise TailUnresolved(
             f"tail estimate {tail:.3g} exceeds {_MOMENT_REL_TOL:.1g} of moment p={p}; increase r_max"
@@ -562,13 +569,6 @@ def _profile_grid(gs: GroundStateData) -> Grid:
     return Grid(domain=Ball(gs.params.N, gs.profile.r_max), nodes=gs.profile.nodes)
 
 
-def _nonuniform_second_deriv(r, f):
-    """Three-point derivative of f' arrays on a non-uniform grid (O(h^2))."""
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    return 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) / (hm * hp * (hm + hp))
-
-
 def _dilation_residual(gs: GroundStateData, grid: Grid) -> float:
     """Relative weighted-L2 residual of L(N/2 q + r q') + 2q = 0.
 
@@ -587,7 +587,8 @@ def _dilation_residual(gs: GroundStateData, grid: Grid) -> float:
     v = 0.5 * N * q + r * dq
     dv = (0.5 * N + 1.0) * dq + r * d2q
     d2v = np.empty_like(v)
-    d2v[1:-1] = _nonuniform_second_deriv(r, v)
+    hm, hp = r[1:-1] - r[:-2], r[2:] - r[1:-1]  # three-point v'' on the non-uniform nodes
+    d2v[1:-1] = 2.0 * (hm * v[2:] - (hm + hp) * v[1:-1] + hp * v[:-2]) / (hm * hp * (hm + hp))
     # endpoints: differentiate dv one-sidedly (weighted contribution ~ 0)
     d2v[0] = (dv[1] - dv[0]) / (r[1] - r[0])
     d2v[-1] = (dv[-1] - dv[-2]) / (r[-1] - r[-2])

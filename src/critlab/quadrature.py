@@ -89,12 +89,6 @@ def hermite_coeffs(r: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     )
 
 
-def integrate_cells(r: np.ndarray, coeffs: np.ndarray, alpha: float) -> float:
-    """Sum of cell integrals of r^alpha times the local polynomials."""
-    M = cell_moments(r[:-1], r[1:], alpha, coeffs.shape[1] - 1)
-    return float(np.sum(M * coeffs))
-
-
 def hat_weights(r: np.ndarray, alpha: float) -> np.ndarray:
     """Diagonal weights w with sum(w * z) = int r^alpha * (linear interp of z).
 

@@ -251,7 +251,8 @@ class FlowConfig:
     """Stopping rule of the minimization: bordered Newton, else the flow.
 
     ``tol``: Newton stops once the sup-norm defect |F / W| falls below it
-    (or stops falling at its rounding level); the flow stops once its
+    or to its rounding level eps |K| |u| / W, whichever is larger (on fine
+    grids the rounding level can exceed ``tol``); the flow stops once its
     sup-norm update per unit time does, which is that defect smoothed by
     the implicit step, so the flow's residual can end above ``tol``.
     ``max_iters``: accepted steps of each method; Newton hands over to
@@ -328,13 +329,18 @@ def _tangent_negative_count(sys_: _System, u, mu: float) -> int:
     """
     d = sys_.second_variation(u, mu)
     zero_pivot = -_EPS * float(np.max(np.abs(d)))  # counted negative, as in a Sturm count
-    neg, s, piv, y = 0, 0.0, 1.0, 0.0
-    for a, e, b in zip(d.tolist(), [0.0] + sys_.K_off.tolist(), (sys_.W * u).tolist()):
+    diag, rhs = iter(d.tolist()), iter((sys_.W * u).tolist())
+    piv, y = next(diag) or zero_pivot, next(rhs)
+    s, neg = y * y / piv, int(piv < 0.0)
+    for a, e, b in zip(diag, sys_.K_off.tolist(), rhs):
         l = e / piv
-        piv = (a - l * e) or zero_pivot
+        piv = a - l * e
+        if piv <= 0.0:
+            if not piv:
+                piv = zero_pivot
+            neg += 1
         y = b - l * y
         s += y * y / piv
-        neg += piv < 0.0
     return neg + (s > 0.0) - 1
 
 
@@ -343,16 +349,20 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
 
     Each step solves J x1 = -F and J x2 = W u, takes dmu from the border,
     floors each node at a fraction of its value (damping the whole step
-    stalls on underflowing tails) and renormalizes.  Returns the endpoint
-    and the accepted steps, or None and the steps when a step does not
-    decrease the defect above its rounding level, J is singular, the steps
-    run out, or the endpoint is not a strict local minimizer.
+    stalls on underflowing tails) and renormalizes, until the defect is
+    below cfg.tol or at its rounding level.  Returns the endpoint and the
+    accepted steps, or None and the steps when a step does not decrease
+    the defect, J is singular, the steps run out, or the endpoint is not a
+    strict local minimizer.
     """
     mu = sys_.fit_multiplier(u)
     r = sys_.defect(u) - mu * u
     res = float(np.max(np.abs(r)))
     steps = 0
     while res >= cfg.tol:
+        noise = 2.0 * sys_.K_diag * u - apply_stiffness(sys_.grid, u)  # |K| |u|: u >= 0, K_off <= 0
+        if res <= _EPS * float(np.max(noise / sys_.W)):  # the defect's rounding level
+            break
         if steps >= cfg.max_iters:
             return None, steps
         wu = sys_.W * u
@@ -367,11 +377,6 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
         r_new = sys_.defect(u_new) - mu_new * u_new
         res_new = float(np.max(np.abs(r_new)))
         if not res_new < res:
-            # stagnation counts as convergence at the defect's rounding
-            # level eps |K| |u| / W (u >= 0 and K's off-diagonal is <= 0)
-            noise = 2.0 * sys_.K_diag * u - apply_stiffness(sys_.grid, u)
-            if res <= _EPS * float(np.max(noise / sys_.W)):
-                break
             return None, steps
         u, mu, r, res = u_new, mu_new, r_new, res_new
         steps += 1

@@ -15,7 +15,15 @@ from critlab import (
     solve_ground_state,
     verify_identities,
 )
-from critlab.groundstate import GroundStateData, RadialProfile, _march, profile_integrals
+from critlab.groundstate import (
+    _GRADING_CAP,
+    _GRADING_PER_H,
+    GroundStateData,
+    RadialProfile,
+    _march,
+    profile_integrals,
+    startup_eval,
+)
 from frozen_values import GROUND_STATES
 
 # the pairs of the benchmark's constants table
@@ -126,6 +134,10 @@ def test_marches_count_every_march(monkeypatch):
     gs = solve_ground_state(GNParams(2, 1.0), resolution=1024)
     assert G._S_GUESS in marches  # the bracket search counts too
     assert gs.meta["marches"] == sum(len(runs) for runs in marches.values())
+    # march work is the trajectory nodes of every recorded march
+    sizes = [run[1].size for runs in marches.values() for run in runs]
+    assert gs.meta["march_nodes"] == sum(sizes)
+    assert all(run[1].size == run[2].size == run[3].size for runs in marches.values() for run in runs)
     # no amplitude is marched twice: the stored profile is the trajectory of
     # the last non-crossing march, up to the tail switch
     assert all(len(runs) == 1 for runs in marches.values())
@@ -133,6 +145,107 @@ def test_marches_count_every_march(monkeypatch):
     k = int(np.searchsorted(gs.profile.nodes, gs.profile.tail_start))
     assert status != "cross"
     assert np.array_equal(gs.profile.values[: k + 1], values[: k + 1])
+
+
+def _reference_march(N, b, g, s, r0, h, r_max):
+    """The march as it was before its radius terms were shared, verbatim."""
+    nm1 = N - 1.0
+    q, dq = startup_eval(N, b, s, r0)
+    q, dq = float(q), float(dq)
+    r = r0
+    grow = min(_GRADING_PER_H * h, _GRADING_CAP)
+
+    # graded steps run from r0 out to r = h/grow, then uniform h
+    graded_span = max(h / (grow * r0), 2.0)
+    cap = int(r_max / h) + int(math.log(graded_span) / math.log(1.0 + grow)) + 64
+    rs = np.empty(cap)
+    qs = np.empty(cap)
+    dqs = np.empty(cap)
+    rs[0], qs[0], dqs[0] = r, q, dq
+    m = 1
+
+    status = "end"
+    low_q = 0.05 * s
+    while r < r_max - 1e-12:
+        # geometric steps out of the startup region, then uniform at h
+        step = min(h, grow * r)
+        if r + step > r_max:
+            step = r_max - r
+        nsub = 2 if q < low_q else 1
+        hh = step / nsub
+        for _ in range(nsub):
+            # RK4 on (q, dq)
+            k1q = dq
+            k1d = q - r ** (-b) * abs(q) ** g * q - nm1 / r * dq
+            r2 = r + 0.5 * hh
+            q2 = q + 0.5 * hh * k1q
+            d2 = dq + 0.5 * hh * k1d
+            k2q = d2
+            k2d = q2 - r2 ** (-b) * abs(q2) ** g * q2 - nm1 / r2 * d2
+            q3 = q + 0.5 * hh * k2q
+            d3 = dq + 0.5 * hh * k2d
+            k3q = d3
+            k3d = q3 - r2 ** (-b) * abs(q3) ** g * q3 - nm1 / r2 * d3
+            r4 = r + hh
+            q4 = q + hh * k3q
+            d4 = dq + hh * k3d
+            k4q = d4
+            k4d = q4 - r4 ** (-b) * abs(q4) ** g * q4 - nm1 / r4 * d4
+            q += hh / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+            dq += hh / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
+            r = r4
+            if q <= 0.0:
+                status = "cross"
+                break
+            if dq > 0.0 and (r > 1.0 or q > s):
+                status = "diverge"
+                break
+        rs[m], qs[m], dqs[m] = r, q, dq
+        m += 1
+        if status != "end":
+            break
+
+    return status, rs[:m], qs[:m], dqs[:m]
+
+
+def _same_march(gs, s, r_max=30.0):
+    """March gs's problem at amplitude s with both loops; assert they agree
+    bit for bit and return the march."""
+    N, b = gs.params.N, gs.params.b
+    args = (N, b, 2.0 * gs.params.beta_sq, s, float(gs.profile.nodes[0]),
+            gs.profile.r_max / gs.meta["resolution"], r_max)
+    ref, run = _reference_march(*args), _march(*args)
+    assert run[0] == ref[0]
+    for new, old in zip(run[1:], ref[1:]):
+        assert np.array_equal(new, old)
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()  # signed zeros too
+    return run
+
+
+@pytest.mark.parametrize("N, b", CONSTANT_PAIRS + [(3, 1.75)])
+def test_march_is_bit_identical_to_reference(solved, N, b):
+    gs = solved(N, b)
+    s_lo, s_hi = gs.meta["bracket"]
+    lo, hi = _same_march(gs, s_lo), _same_march(gs, s_hi)
+    assert lo[0] != "cross" and hi[0] == "cross"
+    # far below s* the march turns up early, far above it crosses early
+    below, above = _same_march(gs, 0.5 * s_lo), _same_march(gs, 2.0 * s_hi)
+    assert below[0] == "diverge" and below[1][-1] < lo[1][-1]
+    assert above[0] == "cross" and above[1][-1] < hi[1][-1]
+    # a march that ends at r_max on a clipped last step
+    status, nodes, _, _ = _same_march(gs, s_lo, r_max=2.5)
+    h = gs.profile.r_max / gs.meta["resolution"]
+    assert status == "end" and nodes[-1] == 2.5 and nodes[-1] - nodes[-2] < h
+
+
+@pytest.mark.parametrize("resolution", [512, 16384])
+@pytest.mark.parametrize("N, b", [(1, 0.5), (3, 1.0)])
+def test_march_is_bit_identical_across_resolutions(N, b, resolution):
+    # coarse steps reach the split-step zone (q < 5% of s) sooner; fine ones
+    # have long graded zones
+    gs = solve_ground_state(GNParams(N, b), resolution=resolution)
+    for s in gs.meta["bracket"]:
+        _same_march(gs, s)
 
 
 def test_secant_falls_back_to_bisection(monkeypatch):
@@ -247,7 +360,8 @@ def test_large_b_identities_and_oracle(N, b, oracle):
 def test_bracket_failure(monkeypatch):
     import critlab.groundstate as G
 
-    monkeypatch.setattr(G, "_march", lambda *args: ("diverge", None, None, None))
+    empty = np.empty(0)
+    monkeypatch.setattr(G, "_march", lambda *args: ("diverge", empty, empty, empty))
     with pytest.raises(BracketFailure, match=r"over amplitudes \[1e-20, 10000\]"):
         solve_ground_state(GNParams(1, 0.5), resolution=256, shoot_tol=1e-9, r_max=25.0)
 

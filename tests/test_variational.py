@@ -12,6 +12,7 @@ from critlab import (
     NotConverged,
     PotentialSpec,
     build_grid,
+    default_gap_schedule,
     dirichlet_form,
     evaluate_energy,
     gn_quotient,
@@ -22,6 +23,7 @@ from critlab import (
     multistart_uniqueness,
     nonexistence_probe,
     normalize_mass,
+    run_sweep,
     trial_quotient,
 )
 from critlab.potentials import compute_lambda
@@ -374,8 +376,8 @@ def test_tangent_count_of_dirichlet_modes(k):
 
 
 def test_newton_stops_at_rounding_level(gs105):
-    # tol = 0 is out of reach of any defect: Newton stops where a step no
-    # longer lowers it at its rounding level, and keeps that endpoint
+    # tol = 0 is out of reach of any defect: Newton stops at the defect's
+    # rounding level, and keeps that endpoint
     grid = build_grid(Interval(-8.0, 8.0), 1024)
     spec = PotentialSpec(p0=2.0)
     lam = compute_lambda(spec, gs105)
@@ -384,6 +386,32 @@ def test_newton_stops_at_rounding_level(gs105):
     res = gradient_flow_minimize(init, params, spec, FlowConfig(tol=0.0, max_iters=100))
     assert res.iterations == 0 and res.newton_steps > 0
     assert res.residual < 1e-11
+
+
+def test_newton_steps_do_not_depend_on_rounding(gs105_hi, monkeypatch):
+    # the tightest point of the sweep workload (16384 nodes), where the
+    # defect's rounding level (about 2e-9) lies above tol = 1e-9: a start
+    # that differs only by rounding takes the same Newton steps
+    import critlab.asymptotics as A
+
+    grid = build_grid(Interval(-8.0, 8.0), 16384)
+    spec = PotentialSpec(p0=2.0)
+    lam = compute_lambda(spec, gs105_hi)
+    a_star = gs105_hi.a_star
+    schedule = sorted(set(default_gap_schedule(a_star) + [a_star * (1.0 - 1e-3)]))
+    starts = []
+
+    def recording(init, params, spec, cfg=FlowConfig()):
+        starts.append((init, params))
+        return gradient_flow_minimize(init, params, spec, cfg)
+
+    monkeypatch.setattr(A, "gradient_flow_minimize", recording)
+    assert not run_sweep(schedule, gs105_hi, spec, grid, lam).aborted
+    init, params = starts[-1]
+    runs = [gradient_flow_minimize(GridFunction(grid, init.values * f), params, spec)
+            for f in (1.0, 1.0 + 4e-16)]
+    assert [r.iterations for r in runs] == [0, 0]
+    assert runs[0].newton_steps == runs[1].newton_steps
 
 
 def test_uncertified_newton_endpoint_not_returned(gs105, monkeypatch):
