@@ -33,8 +33,8 @@ _BOUND_MARGIN = 0.0025
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One converged solve along the threshold approach; ``iterations`` and
-    ``newton_steps`` count the flow's and Newton's steps as on MinimizerResult,
+    """One converged solve along the threshold approach; ``iterations``,
+    ``newton_steps`` and ``tangent_negatives`` are as on MinimizerResult,
     and ``h`` is the step of the grid it was solved on."""
 
     a: float
@@ -46,6 +46,7 @@ class SweepRecord:
     profile_err_sup: float
     iterations: int
     newton_steps: int
+    tangent_negatives: int
     h: float
 
 
@@ -183,6 +184,7 @@ def run_sweep(
                 profile_err_sup=err_sup,
                 iterations=res.iterations,
                 newton_steps=res.newton_steps,
+                tangent_negatives=res.tangent_negatives,
                 h=grid.h,
             )
         )

@@ -280,6 +280,7 @@ def cmd_minimize(cfg, arch) -> list:
         ("unit mass", abs(m - 1.0) < 1e-8, f"mass - 1 = {m - 1.0:.3e}"),
         ("multiplier identity", abs(dev) <= 1e-3 * (1.0 + abs(res.mu)), f"mu - mu_fit = {dev:.3e}"),
         ("stationarity", res.residual < 1e-5, f"residual = {res.residual:.3e}"),
+        ("strict local minimizer", res.tangent_negatives == 0, f"{res.tangent_negatives} tangent negatives"),
     ]
     if a >= gs.a_star:
         # with V(0) = 0, as for every critlab potential, none exists for a >= a*
@@ -320,6 +321,7 @@ def cmd_sweep(cfg, arch) -> list:
         ("energy ratio", lim.energy_ratio_ok, f"tightest/widest = {lim.energy_ratio:.4g}"),
         ("energy and eps decreasing", lim.energy_decreasing and lim.eps_decreasing, ""),
         ("energy upper bound", lim.lemma_bound_ok, ""),
+        ("strict local minimizers", all(r.tangent_negatives == 0 for r in sw.records), ""),
     ]
 
 

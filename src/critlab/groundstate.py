@@ -360,7 +360,7 @@ def solve_ground_state(
             if abs(s - last[0]) <= shoot_tol * last[0]:
                 straddle = [x for x in (s * (1.0 - 0.4 * shoot_tol), s * (1.0 + 0.4 * shoot_tol))
                             if s_lo < x < s_hi]
-                s = straddle.pop()  # one lies inside: the bracket is still open
+                s = straddle.pop() if straddle else 0.5 * (s_lo + s_hi)  # else bisect
             elif not s_lo < s < s_hi:
                 s = 0.5 * (s_lo + s_hi)
         if not s_lo < s < s_hi:

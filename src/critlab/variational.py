@@ -117,13 +117,12 @@ class _System:
         sing = (self.power - 1.0) * self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq)
         return self.K_diag + self.WV - mu * self.W - sing
 
-    def fit_multiplier(self, u) -> float:
-        """Multiplier minimizing the weighted L2 norm of the stationarity defect."""
-        return _dot(self.W * self.defect(u), u) / _dot(self.W * u, u)
-
-    def residual(self, u, mu: float) -> float:
-        """Sup-norm of the stationarity defect at multiplier mu."""
-        return float(np.max(np.abs(self.defect(u) - mu * u)))
+    def fit_multiplier(self, u) -> tuple[float, np.ndarray]:
+        """Multiplier minimizing the weighted L2 norm of the stationarity defect,
+        and the defect at it."""
+        r = self.defect(u)
+        mu = _dot(self.W * r, u) / _dot(self.W * u, u)
+        return mu, r - mu * u
 
     def flow_rhs(self, u, u_pow, dt: float, mu: float) -> np.ndarray:
         """Right-hand side W (u / dt + mu u) + a Wb u_pow of a flow step, u_pow = u^{1+2 beta^2}:
@@ -271,7 +270,8 @@ class MinimizerResult:
 
     ``iterations`` counts the flow's accepted steps (0 when Newton's
     endpoint is returned); ``newton_steps`` the accepted Newton steps,
-    also those of an attempt the flow took over from.
+    also those of an attempt the flow took over from; ``tangent_negatives``
+    the tangent descent directions of the second variation (0: strict local minimizer).
     """
 
     u: GridFunction
@@ -284,6 +284,7 @@ class MinimizerResult:
     breakdown: EnergyBreakdown
     mu_fit: float
     newton_steps: int
+    tangent_negatives: int
 
 
 def gradient_flow_minimize(
@@ -314,7 +315,7 @@ def gradient_flow_minimize(
     u = init.values / math.sqrt(sys_.mass(init.values))
     u_newton, steps = _newton(sys_, u, cfg)
     if u_newton is not None:
-        return _build_result(u_newton, sys_, 0, True, steps)
+        return _build_result(u_newton, sys_, 0, True, steps, negatives=0)
     return _flow(sys_, u, cfg, steps)
 
 
@@ -322,26 +323,26 @@ def _tangent_negative_count(sys_: _System, u, mu: float) -> int:
     """Negative directions of J on the tangent space u^T W v = 0.
 
     Haynsworth inertia additivity on the bordered [[J, W u], [(W u)^T, 0]]
-    gives neg(J) + [u^T W J^{-1} W u > 0] - 1.  Both terms come from one
-    LDL^T recurrence of the tridiagonal J: neg(J) is the Sturm count of its
-    negative pivots d, and u^T W J^{-1} W u = sum y^2 / d with L y = W u,
-    so an eigenvalue of J at rounding level moves both terms together.
+    gives neg(J) + [u^T W J^{-1} W u > 0] - 1.  LAPACK's dpttrf factors J =
+    L D L^T in place up to a pivot d_k <= 0, which is counted (an exact 0 as
+    a rounding-level negative, as in a Sturm count); the next pivot is formed
+    as dpttrf forms it and dpttrf restarts below, so one count costs a pass
+    over J plus one call per negative pivot.  dpttrs on these factors ignores
+    pivot signs, and (W u)^T J^{-1} W u = sum y^2 / d with L y = W u, so an
+    eigenvalue of J at rounding level moves both terms together.
     """
-    d = sys_.second_variation(u, mu)
-    zero_pivot = -_EPS * float(np.max(np.abs(d)))  # counted negative, as in a Sturm count
-    diag, rhs = iter(d.tolist()), iter((sys_.W * u).tolist())
-    piv, y = next(diag) or zero_pivot, next(rhs)
-    s, neg = y * y / piv, int(piv < 0.0)
-    for a, e, b in zip(diag, sys_.K_off.tolist(), rhs):
-        l = e / piv
-        piv = a - l * e
-        if piv <= 0.0:
-            if not piv:
-                piv = zero_pivot
-            neg += 1
-        y = b - l * y
-        s += y * y / piv
-    return neg + (s > 0.0) - 1
+    d, e, wu = sys_.second_variation(u, mu), sys_.K_off.copy(), sys_.W * u
+    zero_pivot = -_EPS * float(np.max(np.abs(d)))
+    neg = k = 0  # scipy's dpttrf refuses a one-row block, whose sign is read here
+    while k < d.size and (info := int(d[k] <= 0.0) if k == d.size - 1 else
+                          dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)[2]):
+        k, neg = k + info, neg + 1
+        d[k - 1] = d[k - 1] or zero_pivot
+        if k < d.size:
+            l = e[k - 1] / d[k - 1]
+            d[k] -= l * e[k - 1]
+            e[k - 1] = l
+    return neg + (_dot(wu, dpttrs(d, e, wu)[0]) > 0.0) - 1
 
 
 def _newton(sys_: _System, u, cfg: FlowConfig):
@@ -355,8 +356,7 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
     the defect, J is singular, the steps run out, or the endpoint is not a
     strict local minimizer.
     """
-    mu = sys_.fit_multiplier(u)
-    r = sys_.defect(u) - mu * u
+    mu, r = sys_.fit_multiplier(u)
     res = float(np.max(np.abs(r)))
     steps = 0
     while res >= cfg.tol:
@@ -444,9 +444,11 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
     return result
 
 
-def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps) -> MinimizerResult:
+def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps, negatives=None):
     eb, nl = sys_.energy(u_vals)
-    mu_f = sys_.fit_multiplier(u_vals)
+    mu_f, r = sys_.fit_multiplier(u_vals)
+    if negatives is None:
+        negatives = _tangent_negative_count(sys_, u_vals, mu_f)
     return MinimizerResult(
         u=GridFunction(sys_.grid, u_vals),
         energy=eb.total,
@@ -454,10 +456,11 @@ def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps) ->
         eps=1.0 / math.sqrt(eb.kinetic),
         iterations=iterations,
         converged=converged,
-        residual=sys_.residual(u_vals, mu_f),
+        residual=float(np.max(np.abs(r))),
         breakdown=eb,
         mu_fit=mu_f,
         newton_steps=newton_steps,
+        tangent_negatives=negatives,
     )
 
 

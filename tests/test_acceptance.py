@@ -1,4 +1,5 @@
-"""Acceptance suite: the thirteen desk-scale checks, one test per criterion.
+"""Acceptance suite: the thirteen desk-scale checks, one test per criterion,
+and the strict-minimizer certificate of every sweep point.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.  Heavy artifacts (threshold sweeps) are module-scoped
@@ -136,7 +137,9 @@ def test_c04_baseline_eigenvalue():
     init = GridFunction(grid, rng.uniform(0.2, 1.0, grid.n_interior))
     res = gradient_flow_minimize(init, GNParams(1, 0.5, a=0.0), None, FlowConfig())
     err = abs(res.energy - math.pi**2 / 4.0)
-    report("4 baseline eigenvalue", err < 1e-3, f"error {err:.2e} at resolution 1024")
+    ok = err < 1e-3 and res.tangent_negatives == 0
+    report("4 baseline eigenvalue", ok, f"error {err:.2e} at resolution 1024, "
+           f"{res.tangent_negatives} tangent negatives")
 
 
 def test_c05_energy_scaling(gs105_hi, sweep_p2):
@@ -212,20 +215,32 @@ def test_c10_threshold_limit(gs105_hi, sweep_p4):
     report("10 threshold limit", ratio < 0.10, f"e ratio {ratio:.4f} (quartic well)")
 
 
-def test_c11_uniqueness(gs105_hi):
+def test_c11_uniqueness(gs105_hi, monkeypatch):
+    import critlab.variational as V
+
     grid = build_grid(Interval(-8.0, 8.0), 2048)
     spec = PotentialSpec(p0=2.0)
     params = gs105_hi.params.with_a(0.99 * gs105_hi.a_star)
+    endpoints = []
+
+    def recording(*args):
+        endpoints.append(gradient_flow_minimize(*args))
+        return endpoints[-1]
+
+    monkeypatch.setattr(V, "gradient_flow_minimize", recording)
     rep = multistart_uniqueness(params, spec, grid, 10, 20260810, FlowConfig())
+    negatives = [r.tangent_negatives for r in endpoints]
     ok = (
         rep.n_converged == 10
         and rep.max_l2_distance < 1e-4
         and rep.energy_spread_rel < 1e-8
+        and negatives == [0] * 10
     )
     report(
         "11 uniqueness",
         ok,
-        f"max L2 {rep.max_l2_distance:.2e}, energy spread {rep.energy_spread_rel:.2e}",
+        f"max L2 {rep.max_l2_distance:.2e}, energy spread {rep.energy_spread_rel:.2e}, "
+        f"tangent negatives {negatives}",
     )
 
 
@@ -252,3 +267,12 @@ def test_c13_multizero(gs105_hi, sweep_multizero):
         ok,
         f"lambda dev {lam_dev:.2e}, exponent {fit.energy.exponent:.4f} (0.5 +- 0.05)",
     )
+
+
+def test_sweep_minimizers_are_strict(sweep_p2, sweep_p4, sweep_multizero):
+    # every point of the three acceptance sweeps is a strict local minimizer
+    # on the unit-mass sphere: no tangent descent direction
+    sweeps = {"p = 2": sweep_p2[0], "p = 4": sweep_p4, "two zeros": sweep_multizero[0]}
+    counts = {name: [r.tangent_negatives for r in sw.records] for name, sw in sweeps.items()}
+    ok = all(c and c == [0] * len(c) for c in counts.values())
+    report("strict local minimizers", ok, f"tangent negatives {counts}")

@@ -116,7 +116,8 @@ def test_sweep_command_deterministic(tmp_path, capsys):
     assert m1 == m2
     assert {"sweep.csv", "fit.json", "groundstate.json", "config.cfg"} <= set(m1["files"])
     header = (out1 / "sweep.csv").read_text().splitlines()[0]
-    assert header == "# a,gap,energy,eps,mu,profile_err_l2,profile_err_sup,iterations,newton_steps,h"
+    assert header == ("# a,gap,energy,eps,mu,profile_err_l2,profile_err_sup,iterations,newton_steps,"
+                      "tangent_negatives,h")
     limits = json.loads((out1 / "limits.json").read_text())
     assert set(limits) == {f.name for f in fields(LimitsReport)}
 
@@ -273,7 +274,7 @@ def test_minimize_reports_newton_steps(tmp_path, capsys):
     assert run_command(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
     assert "iterations = 0  newton_steps = 3" in capsys.readouterr().out
     record = json.loads((out / "minimizer.json").read_text())
-    assert (record["iterations"], record["newton_steps"]) == (0, 3)
+    assert (record["iterations"], record["newton_steps"], record["tangent_negatives"]) == (0, 3, 0)
 
 
 @pytest.mark.parametrize("resolution", ["512", "2048"])
@@ -311,9 +312,9 @@ def test_verify_all_command(tmp_path, capsys, monkeypatch):
     assert "FAIL" not in text
     # the four commands' checks plus the panel's own three
     n_pass = sum(line.startswith("PASS  ") for line in text.splitlines())
-    assert n_pass == 11
+    assert n_pass == 12
     checks = json.loads((out / "checks.json").read_text())
-    assert len(checks) == 11 and all(c["ok"] is True for c in checks)
+    assert len(checks) == 12 and all(c["ok"] is True for c in checks)
     assert "verify.json" not in json.loads((out / "manifest.json").read_text())["files"]
 
 
@@ -337,7 +338,7 @@ def test_minimize_h_kinds(tmp_path, capsys, potential):
     assert run_command(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     checks = json.loads((out / "checks.json").read_text())
-    assert len(checks) == 3 and all(c["ok"] for c in checks)
+    assert len(checks) == 4 and all(c["ok"] for c in checks)
 
 
 def test_ground_state_archive_is_the_same_from_every_command(tmp_path):

@@ -262,6 +262,18 @@ def test_secant_falls_back_to_bisection(monkeypatch):
     assert gs.a_star == pytest.approx(reference.a_star, rel=1e-10)
 
 
+def test_straddle_outside_the_bracket_bisects():
+    # at (2, 1.5)/512 a secant step lands within shoot_tol of the crossing
+    # end, so neither straddle amplitude lies inside the bracket: the solve
+    # bisects instead and closes the bracket.  This grid is too coarse for
+    # the identities at b = 1.5 (as are 256 and 1024; 2048 passes), so a*
+    # is compared with the 2048 solve
+    gs = solve_ground_state(GNParams(2, 1.5), resolution=512)
+    ref = solve_ground_state(GNParams(2, 1.5), resolution=2048)
+    assert verify_identities(gs).shoot_residual < 1e-13 and verify_identities(ref).passed
+    assert gs.a_star == pytest.approx(ref.a_star, rel=1e-6, abs=0.0)
+
+
 @pytest.mark.parametrize("N, b", CONSTANT_PAIRS)
 def test_unit_cutoff_integrals_are_the_constants(solved, N, b):
     gs = solved(N, b)

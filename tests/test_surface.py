@@ -20,7 +20,7 @@ from critlab import FlowConfig
 
 MAX_SETTABLE = 21
 MAX_PUBLIC_NAMES = 60
-MAX_SRC_LINES = 2948
+MAX_SRC_LINES = 2955
 
 
 def _defaulted_parameters():

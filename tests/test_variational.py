@@ -1,7 +1,9 @@
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from critlab import (
     FlowConfig,
@@ -30,6 +32,7 @@ from critlab.potentials import compute_lambda
 from critlab.grids import integrate
 from critlab.asymptotics import limit_profile_start, predicted_eps
 from critlab.variational import (
+    _EPS,
     _System,
     _flow,
     _tangent_negative_count,
@@ -45,6 +48,11 @@ def flow_only(init, params, spec, cfg=FlowConfig()):
     """The flow without the Newton attempt, from the same normalized init."""
     system = _System(init.grid, params, spec)
     return _flow(system, init.values / math.sqrt(system.mass(init.values)), cfg)
+
+
+def defect_sup(system, u, mu):
+    """Sup-norm of the stationarity defect at multiplier mu."""
+    return float(np.max(np.abs(system.defect(u) - mu * u)))
 
 
 def eigenfunction(grid):
@@ -142,10 +150,10 @@ def test_el_residual_eigenfunction():
     grid = build_grid(Interval(-1.0, 1.0), 512)
     u = eigenfunction(grid)
     system = _System(grid, GNParams(1, 0.5, a=0.0), None)
-    assert system.residual(u.values, PI24) < 1e-3
+    assert defect_sup(system, u.values, PI24) < 1e-3
     rng = np.random.default_rng(3)
     noisy = normalize_mass(GridFunction(grid, 0.5 + rng.uniform(0, 1, grid.n_interior)))
-    assert system.residual(noisy.values, PI24) > 0.1
+    assert defect_sup(system, noisy.values, PI24) > 0.1
 
 
 def test_multiplier_at_zero_interaction():
@@ -185,8 +193,9 @@ def test_result_scalars_match_public_functions(gs105):
     nl = integrate(res.u.with_values(np.abs(res.u.values) ** params.nonlinear_power), -params.b)
     assert res.mu == pytest.approx(res.energy - params.a * bs / (1.0 + bs) * nl, rel=1e-12, abs=0.0)
     system = _System(grid, params, spec)
-    assert res.mu_fit == system.fit_multiplier(res.u.values)
-    assert res.residual == system.residual(res.u.values, res.mu_fit)
+    mu_fit, defect = system.fit_multiplier(res.u.values)
+    assert res.mu_fit == mu_fit
+    assert res.residual == float(np.max(np.abs(defect))) == defect_sup(system, res.u.values, mu_fit)
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +370,34 @@ def test_limit_profile_start_newton_matches_flow(gs105, a_mult):
         assert np.array_equal(res.u.values, ref.u.values)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def _reference_tangent_count(sys_, u, mu):
+    """The tangent count as a Python LDL^T recurrence, before it moved to
+    LAPACK, verbatim."""
+    d = sys_.second_variation(u, mu)
+    zero_pivot = -_EPS * float(np.max(np.abs(d)))  # counted negative, as in a Sturm count
+    diag, rhs = iter(d.tolist()), iter((sys_.W * u).tolist())
+    piv, y = next(diag) or zero_pivot, next(rhs)
+    s, neg = y * y / piv, int(piv < 0.0)
+    for a, e, b in zip(diag, sys_.K_off.tolist(), rhs):
+        l = e / piv
+        piv = a - l * e
+        if piv <= 0.0:
+            if not piv:
+                piv = zero_pivot
+            neg += 1
+        y = b - l * y
+        s += y * y / piv
+    return neg + (s > 0.0) - 1
+
+
+def _tridiagonal_system(diag, off):
+    """What the tangent count reads of a system, for J = tridiag(off, diag, off) and W = 1."""
+    diag = np.asarray(diag, dtype=float)
+    return types.SimpleNamespace(second_variation=lambda u, mu: diag - mu,
+                                 K_off=np.asarray(off, dtype=float), W=np.ones(diag.size))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_tangent_count_of_dirichlet_modes(k):
     # at a = 0 the k-th discrete mode of -u'' on (-1, 1) with its eigenvalue
     # as multiplier is a critical point with k - 1 descent directions
@@ -371,8 +407,64 @@ def test_tangent_count_of_dirichlet_modes(k):
     v = np.sin(k * np.pi * (grid.interior_nodes + 1.0) / 2.0)
     u = v / math.sqrt(system.mass(v))
     lam = 2.0 * (1.0 - math.cos(k * math.pi * grid.h / 2.0)) / grid.h**2
-    assert system.residual(u, lam) < 1e-9
-    assert _tangent_negative_count(system, u, lam) == k - 1
+    assert defect_sup(system, u, lam) < 1e-9
+    assert _tangent_negative_count(system, u, lam) == _reference_tangent_count(system, u, lam) == k - 1
+
+
+def test_tangent_count_matches_reference_on_sweep(gs105_hi, monkeypatch):
+    # the sweep workload's schedule at 16384 nodes: both recurrences certify
+    # every Newton endpoint
+    import critlab.variational as V
+
+    grid = build_grid(Interval(-8.0, 8.0), 16384)
+    spec = PotentialSpec(p0=2.0)
+    lam = compute_lambda(spec, gs105_hi)
+    a_star = gs105_hi.a_star
+    schedule = sorted(set(default_gap_schedule(a_star) + [a_star * (1.0 - 1e-3)]))
+    counts = []
+
+    def both(sys_, u, mu):
+        counts.append((_tangent_negative_count(sys_, u, mu), _reference_tangent_count(sys_, u, mu)))
+        return counts[-1][0]
+
+    monkeypatch.setattr(V, "_tangent_negative_count", both)
+    sw = run_sweep(schedule, gs105_hi, spec, grid, lam)
+    assert [r.iterations for r in sw.records] == [0] * len(schedule)
+    assert counts == [(0, 0)] * len(schedule)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+)))
+def test_tangent_count_matches_reference_on_random_tridiagonals(data):
+    # J = L D L^T from pivots of either sign bounded away from 0 and
+    # multipliers in [-1, 1]: a symmetric tridiagonal with a mixed-sign
+    # diagonal whose count is decided unless u^T J^-1 u is at rounding level
+    mags, negative, mult, u = map(np.array, data)
+    piv = np.where(negative, -mags, mags)
+    diag = piv + np.concatenate(([0.0], mult * mult * piv[:-1]))
+    off = mult * piv[:-1]
+    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    terms = (vec.T @ u) ** 2 / lam
+    assume(abs(terms.sum()) > 1e-6 * np.abs(terms).sum())
+    system = _tridiagonal_system(diag, off)
+    assert _tangent_negative_count(system, u, 0.0) == _reference_tangent_count(system, u, 0.0)
+
+
+def test_tangent_count_zero_pivots():
+    # J = [[0, -1], [-1, 5]] (+) [[1, -1, 0], [-1, 1, -1], [0, -1, 2]] has
+    # exact zero pivots at its first and fourth rows.  Each is counted as a
+    # rounding-level negative, which here is the inertia of J itself (both
+    # blocks have determinant -1); u^T J^-1 u is then -1 and 10.  A zero
+    # pivot left uncounted reads 2 - 1 = 1 for the second u as well.
+    system = _tridiagonal_system([0.0, 5.0, 1.0, 1.0, 2.0], [-1.0, 0.0, -1.0, -1.0])
+    for u, count in (([0.0, 1.0, 1.0, 0.0, 0.0], 1), ([1.0, -6.0, 1.0, -2.0, 2.0], 2)):
+        u = np.array(u)
+        assert _tangent_negative_count(system, u, 0.0) == _reference_tangent_count(system, u, 0.0) == count
 
 
 def test_newton_stops_at_rounding_level(gs105):
