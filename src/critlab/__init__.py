@@ -61,7 +61,6 @@ from .variational import (
 from .asymptotics import (
     LawFit,
     LimitsReport,
-    RescaledProfile,
     ScalingFit,
     SweepRecord,
     SweepResult,

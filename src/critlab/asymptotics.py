@@ -57,15 +57,6 @@ class SweepResult:
     message: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class RescaledProfile:
-    """Minimizer in the concentration variable x -> x / eps."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    scale: float
-
-
 def predicted_eps(gap: float, gs: GroundStateData, lam: LambdaConstant) -> float:
     """Leading-order concentration scale (1/lambda)(gap l2 beta^p / a*)^{1/(p+2)}."""
     p = lam.p
@@ -86,8 +77,9 @@ def limit_profile_start(gs: GroundStateData, grid: Grid, eps: float) -> GridFunc
     return normalize_mass(GridFunction(grid, np.maximum(vals, floor)))
 
 
-def rescale_minimizer(result: MinimizerResult, gs: GroundStateData):
-    """Rescaled profile plus (L2, sup) distances to the concentration limit.
+def rescale_minimizer(result: MinimizerResult, gs: GroundStateData) -> tuple[float, float]:
+    """(L2, sup) distances of the rescaled minimizer eps^{N/2} u(eps y) to
+    the concentration limit.
 
     The rescaled grid is the native grid divided by eps, so the minimizer
     needs no interpolation; the limit profile is evaluated with the cubic
@@ -95,15 +87,11 @@ def rescale_minimizer(result: MinimizerResult, gs: GroundStateData):
     """
     grid = result.u.grid
     eps = result.eps
-    N = gs.params.N
-    y = grid.nodes / eps
-    w = eps ** (N / 2.0) * result.u.full()
-    lim = limit_profile(gs, y)
-    diff = w - lim
+    diff = eps ** (gs.params.N / 2.0) * result.u.full() - limit_profile(gs, grid.nodes / eps)
     err_sup = float(np.max(np.abs(diff)))
     # the grid's P1 quadrature in x, with dy = dx / eps in each dimension
     err_l2 = math.sqrt(integrate_nodal(grid, diff * diff) / eps**grid.domain.dimension)
-    return RescaledProfile(nodes=y, values=w, scale=eps), (err_l2, err_sup)
+    return err_l2, err_sup
 
 
 def default_gap_schedule(a_star: float, start_mult: float = 0.1, ratio: float = 0.5, n_points: int = 8):
@@ -172,7 +160,7 @@ def run_sweep(
                 f"with grid step h = {grid.h:.4g}; refine the grid",
             )
         _reverify(res)
-        _, (err_l2, err_sup) = rescale_minimizer(res, gs)
+        err_l2, err_sup = rescale_minimizer(res, gs)
         records.append(
             SweepRecord(
                 a=a,

@@ -72,8 +72,7 @@ _SCHEMA = {
     "problem": {
         "n": (int, "1"),
         "b": (float, "0.5"),
-        "a": (_opt_float, ""),
-        "a_mult": (_opt_float, ""),
+        "a_mult": (float, "0.5"),  # a as a multiple of the threshold a*
     },
     "domain": {
         "kind": (str, "interval"),
@@ -92,7 +91,6 @@ _SCHEMA = {
     "groundstate": {
         "resolution": (int, "4096"),
         "r_max": (float, "30.0"),
-        "shoot_tol": (float, "1e-13"),
     },
     "flow": {
         "tol": (float, repr(FlowConfig.tol)),
@@ -208,32 +206,20 @@ def _spec(cfg, domain) -> PotentialSpec | None:
 
 
 @functools.lru_cache(maxsize=1)
-def _ground_state(n, b, shoot_tol, r_max, resolution) -> GroundStateData:
+def _ground_state(n, b, r_max, resolution) -> GroundStateData:
     """Ground state, kept for the last arguments so verify-all's commands share
     one solve; run_command clears it, so each command makes its own solve."""
-    return solve_ground_state(GNParams(n, b), shoot_tol=shoot_tol, r_max=r_max, resolution=resolution)
+    return solve_ground_state(GNParams(n, b), r_max=r_max, resolution=resolution)
 
 
 def _solve_gs(cfg) -> GroundStateData:
     p, g = cfg["problem"], cfg["groundstate"]
-    return _ground_state(p["n"], p["b"], g["shoot_tol"], g["r_max"], g["resolution"])
+    return _ground_state(p["n"], p["b"], g["r_max"], g["resolution"])
 
 
 def _flow_cfg(cfg) -> FlowConfig:
     f = cfg["flow"]
     return FlowConfig(tol=f["tol"], max_iters=f["max_iters"])
-
-
-def _resolve_a(cfg, gs: GroundStateData) -> float:
-    a_abs = cfg["problem"]["a"]
-    a_mult = cfg["problem"]["a_mult"]
-    if a_abs is not None and a_mult is not None:
-        raise ConfigError("give either [problem] a or a_mult, not both")
-    if a_abs is not None:
-        return a_abs
-    if a_mult is not None:
-        return a_mult * gs.a_star
-    return 0.5 * gs.a_star
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +243,7 @@ def cmd_minimize(cfg, arch) -> list:
     grid = _grid(cfg)
     spec = _spec(cfg, grid.domain)
     gs = _solve_gs(cfg)
-    a = _resolve_a(cfg, gs)
+    a = cfg["problem"]["a_mult"] * gs.a_star
     if spec is not None and a < gs.a_star:
         lam = compute_lambda(spec, gs)
         init = asy.limit_profile_start(gs, grid, asy.predicted_eps(gs.a_star - a, gs, lam))
@@ -380,7 +366,7 @@ def cmd_nonexist(cfg, arch) -> list:
     grid = _grid(cfg)
     spec = _spec(cfg, grid.domain)
     gs = _solve_gs(cfg)
-    a = _resolve_a(cfg, gs)
+    a = cfg["problem"]["a_mult"] * gs.a_star
     if a <= gs.a_star:
         raise ConfigError(f"nonexist needs a > a_star; got a/a_star = {a / gs.a_star:.4f}")
     params = gs.params.with_a(a)
@@ -411,7 +397,7 @@ def cmd_uniqueness(cfg, arch) -> list:
     grid = _grid(cfg)
     spec = _spec(cfg, grid.domain)
     gs = _solve_gs(cfg)
-    a = _resolve_a(cfg, gs)
+    a = cfg["problem"]["a_mult"] * gs.a_star
     params = gs.params.with_a(a)
     rep = multistart_uniqueness(
         params, spec, grid, cfg["uniqueness"]["n_starts"], cfg["flow"]["seed"], _flow_cfg(cfg)
@@ -499,7 +485,6 @@ _COMMANDS = {
 _OVERRIDES = [
     ("--N", "problem", "n"),
     ("--b", "problem", "b"),
-    ("--a", "problem", "a"),
     ("--a-mult", "problem", "a_mult"),
     ("--resolution", "domain", "resolution"),
     ("--gs-resolution", "groundstate", "resolution"),
@@ -512,10 +497,11 @@ _OVERRIDES = [
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="critlab", description=__doc__)
+    # no abbreviations: a removed flag is refused, not read as a longer one
+    ap = argparse.ArgumentParser(prog="critlab", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory for the run archive")
         for flag, _sec, _key in _OVERRIDES:
@@ -538,7 +524,7 @@ def run_command(argv) -> int:
             raw = getattr(args, attr, None)
             if raw is not None:
                 conv, _ = _SCHEMA[sec][key]
-                cfg[sec][key] = conv(raw) if conv is not str else raw
+                cfg[sec][key] = conv(raw)
         arch = RunArchive(config_text=serialize_config(cfg))
         checks = _COMMANDS[args.command](cfg, arch)
         for name, ok, detail in checks:

@@ -234,27 +234,26 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def integrate_nodal(grid: Grid, full_values, weight_exponent: float = 0.0) -> float:
+def integrate_nodal(grid: Grid, full_values) -> float:
     """Quadrature of arbitrary nodal data on the closed domain.
 
     Unlike ``integrate`` this keeps the supplied boundary values, so the
-    constant 1 integrates exactly to |Omega| (weight 0) or to the closed
-    forms of the weighted volume.
+    constant 1 integrates exactly to |Omega|.
     """
-    return _dot(hat_masses(grid, weight_exponent), np.asarray(full_values, dtype=float))
+    return _dot(hat_masses(grid, 0.0), np.asarray(full_values, dtype=float))
 
 
-def integrate(g: GridFunction, weight_exponent: float = 0.0) -> float:
-    """Integral over the domain of |x|^weight_exponent times the interpolant of g.
+def integrate(g: GridFunction) -> float:
+    """Integral over the domain of the interpolant of g.
 
     The zero trace of g on the boundary is part of the interpolant.
     """
-    return integrate_nodal(g.grid, g.full(), weight_exponent)
+    return integrate_nodal(g.grid, g.full())
 
 
 def mass(g: GridFunction) -> float:
     """Squared L2 norm of g (quadrature of the nodal squares)."""
-    return integrate(g.with_values(g.values**2), 0.0)
+    return integrate(g.with_values(g.values**2))
 
 
 def normalize_mass(g: GridFunction) -> GridFunction:

@@ -37,7 +37,10 @@ from .quadrature import cell_moments, hermite_coeffs
 # step keeps the whole scheme refining at one order under h -> h/2
 _GRADING_PER_H = 2.73
 _GRADING_CAP = 0.08
-_TAIL_SWITCH_BASE = 3e-6  # switch to the matched tail once q/s falls below this
+_SHOOT_TOL = 1e-13  # relative width of the final cross/diverge bracket on the amplitude
+# switch to the matched tail once q/s falls below this, which keeps the
+# matched coefficient accurate to well under 1%
+_TAIL_SWITCH = 10.0 * math.sqrt(_SHOOT_TOL)
 _S_GUESS = 1.0  # central amplitude the shooting bracket starts from
 _STARTUP_ETA = 1e-5  # first series correction at r0, relative to _S_GUESS
 _S_MIN, _S_MAX = 1e-20, 1e4  # amplitudes the bracket search tries; s* is 5e-19 at (2, 1.9)
@@ -284,14 +287,13 @@ def _secant_step(N, b, g, older, newer):
 
 def solve_ground_state(
     params: GNParams,
-    shoot_tol: float = 1e-13,
     r_max: float = 30.0,
     resolution: int = 4096,
 ) -> GroundStateData:
     """Shoot for the positive decaying radial profile and derive its constants.
 
-    ``shoot_tol`` is the relative width of the final cross/diverge bracket
-    on the central amplitude, ``meta["bracket"]``; ``resolution`` sets the
+    The final cross/diverge bracket on the central amplitude,
+    ``meta["bracket"]``, has relative width 1e-13; ``resolution`` sets the
     uniform march step h = r_max / resolution.  The startup radius comes
     from (N, b) and is the profile's first node.  ``meta["tail_error"]`` is
     the tail's estimated shift of the mass identity, and ``meta["marches"]``
@@ -300,12 +302,8 @@ def solve_ground_state(
     """
     N, b = params.N, params.b
     g = 2.0 * params.beta_sq
-    if shoot_tol <= 0.0:
-        raise ValueError("shoot_tol must be positive")
-    if math.exp(-r_max) >= shoot_tol:
-        raise ValueError(
-            f"r_max={r_max} too small for shoot_tol={shoot_tol}: need exp(-r_max) < shoot_tol"
-        )
+    if math.exp(-r_max) >= _SHOOT_TOL:
+        raise ValueError(f"r_max={r_max} too small: need exp(-r_max) < {_SHOOT_TOL:g}")
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
 
@@ -322,7 +320,7 @@ def solve_ground_state(
     # bracket wider than a factor 2 is bisected in log amplitude; inside one,
     # a secant step on the far-field residuals of the two latest marches
     # picks s, and a step out of the bracket is replaced by bisection.  Once
-    # a step falls within shoot_tol, marches at +-0.4 shoot_tol about its
+    # a step falls within _SHOOT_TOL, marches at +-0.4 _SHOOT_TOL about its
     # estimate close the bracket.  Past _SECANT_BUDGET marches it is only
     # bisected.
     s_lo = s_hi = lo_run = last = None  # lo_run: the largest non-crossing amplitude's march
@@ -345,7 +343,7 @@ def solve_ground_state(
             s = min(max(s / factor if s_lo is None else s * factor, _S_MIN), _S_MAX)
             factor *= factor
             continue
-        if s_hi - s_lo <= shoot_tol * s_hi:
+        if s_hi - s_lo <= _SHOOT_TOL * s_hi:
             break
         straddle = [x for x in straddle if s_lo < x < s_hi]
         if straddle:
@@ -357,8 +355,8 @@ def solve_ground_state(
         else:
             s = _secant_step(N, b, g, prev, last)
             prev = None  # a march keeps at most lo_run and the latest march alive
-            if abs(s - last[0]) <= shoot_tol * last[0]:
-                straddle = [x for x in (s * (1.0 - 0.4 * shoot_tol), s * (1.0 + 0.4 * shoot_tol))
+            if abs(s - last[0]) <= _SHOOT_TOL * last[0]:
+                straddle = [x for x in (s * (1.0 - 0.4 * _SHOOT_TOL), s * (1.0 + 0.4 * _SHOOT_TOL))
                             if s_lo < x < s_hi]
                 s = straddle.pop() if straddle else 0.5 * (s_lo + s_hi)  # else bisect
             elif not s_lo < s < s_hi:
@@ -369,9 +367,8 @@ def solve_ground_state(
     del run, prev, last, lo_run  # only the stored profile's arrays outlive the loop
     s_star = 0.5 * (s_lo + s_hi)
 
-    # switch to the matched tail before the unstable mode pollutes it;
-    # threshold keeps the matched coefficient accurate to well under 1%
-    threshold = s_star * max(_TAIL_SWITCH_BASE, 10.0 * math.sqrt(shoot_tol))
+    # switch to the matched tail before the unstable mode pollutes it
+    threshold = s_star * _TAIL_SWITCH
     candidates = np.nonzero((values <= threshold) & (nodes >= 2.0))[0]
     if candidates.size:
         k = int(candidates[0])
@@ -381,8 +378,7 @@ def solve_ground_state(
         k = values.size - 1
     if values[k] > 0.05 * s_star:
         raise BracketFailure(
-            f"profile did not decay below 5% of the amplitude before r={nodes[k]:.3g}; "
-            f"increase r_max or tighten shoot_tol"
+            f"profile did not decay below 5% of the amplitude before r={nodes[k]:.3g}; increase r_max"
         )
 
     rk = nodes[k]

@@ -315,7 +315,9 @@ def gradient_flow_minimize(
     u = init.values / math.sqrt(sys_.mass(init.values))
     u_newton, steps = _newton(sys_, u, cfg)
     if u_newton is not None:
-        return _build_result(u_newton, sys_, 0, True, steps, negatives=0)
+        result = _build_result(u_newton, sys_, 0, True, steps)
+        if result.tangent_negatives == 0:
+            return result
     return _flow(sys_, u, cfg, steps)
 
 
@@ -353,8 +355,7 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
     stalls on underflowing tails) and renormalizes, until the defect is
     below cfg.tol or at its rounding level.  Returns the endpoint and the
     accepted steps, or None and the steps when a step does not decrease
-    the defect, J is singular, the steps run out, or the endpoint is not a
-    strict local minimizer.
+    the defect, J is singular, or the steps run out.
     """
     mu, r = sys_.fit_multiplier(u)
     res = float(np.max(np.abs(r)))
@@ -380,8 +381,6 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
             return None, steps
         u, mu, r, res = u_new, mu_new, r_new, res_new
         steps += 1
-    if _tangent_negative_count(sys_, u, mu) != 0:
-        return None, steps
     return u, steps
 
 
@@ -444,11 +443,9 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
     return result
 
 
-def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps, negatives=None):
+def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps):
     eb, nl = sys_.energy(u_vals)
     mu_f, r = sys_.fit_multiplier(u_vals)
-    if negatives is None:
-        negatives = _tangent_negative_count(sys_, u_vals, mu_f)
     return MinimizerResult(
         u=GridFunction(sys_.grid, u_vals),
         energy=eb.total,
@@ -460,7 +457,7 @@ def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps, ne
         breakdown=eb,
         mu_fit=mu_f,
         newton_steps=newton_steps,
-        tangent_negatives=negatives,
+        tangent_negatives=_tangent_negative_count(sys_, u_vals, mu_f),
     )
 
 
@@ -552,7 +549,7 @@ def multistart_uniqueness(
     for i in range(len(ulist)):
         for j in range(i + 1, len(ulist)):
             d = ulist[i].u.values - ulist[j].u.values
-            max_l2 = max(max_l2, math.sqrt(integrate(ulist[i].u.with_values(d * d), 0.0)))
+            max_l2 = max(max_l2, math.sqrt(integrate(ulist[i].u.with_values(d * d))))
             max_sup = max(max_sup, float(np.max(np.abs(d))))
     energies = [r.energy for r in ulist]
     if energies:

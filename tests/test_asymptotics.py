@@ -21,7 +21,6 @@ from critlab import (
     fit_scaling_laws,
     gradient_flow_minimize,
     lemma_energy_bound,
-    normalize_mass,
     predicted_eps,
     rescale_minimizer,
     run_sweep,
@@ -147,8 +146,7 @@ def test_rescale_synthetic_self_consistency(gs105):
         u=u, energy=0.0, mu=0.0, eps=eps, iterations=0, converged=True, residual=0.0,
         breakdown=EnergyBreakdown(0, 0, 0, 0), mu_fit=0.0, newton_steps=0, tangent_negatives=0,
     )
-    prof, (err_l2, err_sup) = rescale_minimizer(fake, gs105)
-    assert prof.scale == eps
+    err_l2, err_sup = rescale_minimizer(fake, gs105)
     assert err_sup < 1e-12
     assert err_l2 < 1e-12
 
@@ -163,32 +161,14 @@ def test_records_solved_twice_compare_by_identity():
         grid = build_grid(Interval(-8.0, 8.0), 256)
         init = limit_profile_start(gs, grid, predicted_eps(gap, gs, compute_lambda(spec, gs)))
         res = gradient_flow_minimize(init, gs.params.with_a(gs.a_star - gap), spec)
-        return gs, gs.profile, grid, res.u, res, rescale_minimizer(res, gs)[0]
+        return gs, gs.profile, grid, res.u, res
 
     first, second = solve(), solve()
     for a, b in zip(first, second):
         assert a == a and a != b
         assert hash(a) == hash(a)
     assert np.array_equal(first[4].u.values, second[4].u.values)
-    assert len(set(first + second)) == 12
-
-
-def test_rescaled_profile_keeps_unit_mass(mini_sweep, gs105):
-    sw, lam = mini_sweep
-    # re-run the tightest point to get at a full minimizer
-    spec = PotentialSpec(p0=2.0)
-    grid = build_grid(Interval(-8.0, 8.0), 1024)
-    from critlab import gradient_flow_minimize
-
-    a = sw.records[-1].a
-    eps = predicted_eps(gs105.a_star - a, gs105, lam)
-    init = normalize_mass(
-        GridFunction(grid, eps ** -0.5 * limit_profile(gs105, grid.interior_nodes / eps) + 1e-12)
-    )
-    res = gradient_flow_minimize(init, gs105.params.with_a(a), spec, FlowConfig(tol=1e-8))
-    prof, _ = rescale_minimizer(res, gs105)
-    m = np.trapezoid(prof.values**2, prof.nodes)
-    assert m == pytest.approx(1.0, rel=1e-6)
+    assert len(set(first + second)) == 10
 
 
 def _synthetic_records(gs, lam, pref_e, pref_eps, n=7):

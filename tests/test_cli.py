@@ -47,7 +47,7 @@ def test_cli_defaults_match_library():
     flow = cfg["flow"]
     assert (flow["tol"], flow["max_iters"]) == (lib.tol, lib.max_iters)
     sig = inspect.signature(solve_ground_state).parameters
-    for key in ("resolution", "r_max", "shoot_tol"):
+    for key in ("resolution", "r_max"):
         assert cfg["groundstate"][key] == sig[key].default, key
 
 
@@ -75,6 +75,25 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[problem]\nn = not_a_number\n")
     assert run_command(["ground-state", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("text", ["[groundstate]\nshoot_tol = 1e-9\n", "[problem]\na = 1.2\n"])
+def test_removed_keys_are_refused(tmp_path, capsys, text):
+    # the bracket width is fixed and a is set only as a_mult
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(text)
+    assert run_command(["ground-state", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_a_flag_is_a_usage_error(tmp_path, capsys):
+    # refused, not read as an abbreviation of --a-mult
+    with pytest.raises(SystemExit) as exc:
+        run_command(["nonexist", "--a", "1.2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --a 1.2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_defaults_complete():
@@ -356,6 +375,17 @@ def test_ground_state_archive_is_the_same_from_every_command(tmp_path):
 
 def test_gn_check_command(tmp_path):
     assert run_command(GN_SMALL + ["--out", str(tmp_path / "gn")]) == 0
+
+
+def test_gn_check_on_a_ball(tmp_path, capsys):
+    # the random H^1_0 functions of a ball are cosine modes vanishing at the radius
+    cfg = tmp_path / "ball.cfg"
+    cfg.write_text("[problem]\nn = 2\n[domain]\nkind = ball\nradius = 2.0\n")
+    out = tmp_path / "gn"
+    assert run_command(GN_SMALL + ["--config", str(cfg), "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "PASS  quotient bound (random)" in text and "PASS  trial family saturates" in text
+    assert json.loads((out / "gn.json").read_text())["min_ratio"] > 1.0
 
 
 def test_unwritable_output_dir(tmp_path):

@@ -99,19 +99,19 @@ def test_hat_masses_built_once_read_only():
 def test_weighted_integrals_closed_forms():
     g = build_grid(Interval(-1.0, 1.0), 256)
     ones = np.ones(g.nodes.size)
-    assert integrate_nodal(g, ones, -0.5) == pytest.approx(4.0, rel=1e-13)
-    assert integrate_nodal(g, ones, 0.0) == pytest.approx(2.0, rel=1e-14)
+    assert hat_masses(g, -0.5) @ ones == pytest.approx(4.0, rel=1e-13)
+    assert integrate_nodal(g, ones) == pytest.approx(2.0, rel=1e-14)
     b = 0.5
     g2 = build_grid(Ball(2, 1.0), 64)
     ones2 = np.ones(g2.nodes.size)
-    assert integrate_nodal(g2, ones2, -b) == pytest.approx(2 * math.pi / (2 - b), rel=1e-13)
-    assert integrate_nodal(g2, ones2, 0.0) == pytest.approx(math.pi, rel=1e-12)
+    assert hat_masses(g2, -b) @ ones2 == pytest.approx(2 * math.pi / (2 - b), rel=1e-13)
+    assert integrate_nodal(g2, ones2) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_cross_module_mass(gs31):
     g = build_grid(Ball(3, 20.0), 2000)
     q2 = GridFunction(g, gs31.q(g.interior_nodes) ** 2)
-    assert integrate(q2, 0.0) == pytest.approx(gs31.l2_sq, rel=1e-3)
+    assert integrate(q2) == pytest.approx(gs31.l2_sq, rel=1e-3)
 
 
 def test_singular_quadrature_convergence_order():
@@ -121,7 +121,7 @@ def test_singular_quadrature_convergence_order():
     def err(res):
         g = build_grid(Interval(-1.0, 1.0), res)
         vals = np.cos(np.pi * g.nodes / 2) ** 2
-        return abs(integrate_nodal(g, vals, -0.5) - exact)
+        return abs(hat_masses(g, -0.5) @ vals - exact)
 
     e1, e2 = err(128), err(256)
     order = math.log2(e1 / e2)
@@ -130,14 +130,12 @@ def test_singular_quadrature_convergence_order():
 
 def test_nonintegrable_weight():
     g = build_grid(Interval(-1.0, 1.0), 64)
-    u = GridFunction(g, np.ones(g.n_interior))
     with pytest.raises(ValueError, match="not integrable near 0 in dimension 1"):
-        integrate(u, -1.0)
+        hat_masses(g, -1.0)
     g2 = build_grid(Ball(2, 1.0), 64)
-    u2 = GridFunction(g2, np.ones(g2.n_interior))
     with pytest.raises(ValueError, match="not integrable near 0 in dimension 2"):
-        integrate(u2, -2.0)
-    integrate(u2, -1.5)  # integrable in two dimensions
+        hat_masses(g2, -2.0)
+    hat_masses(g2, -1.5)  # integrable in two dimensions
 
 
 def test_normalize_mass():
@@ -157,7 +155,7 @@ def test_interval_asymmetric_and_straddling_cells():
     assert not np.any(g.nodes == 0.0)
     ones = np.ones(g.nodes.size)
     exact = 2.0 * (math.sqrt(0.95) + math.sqrt(1.55))
-    assert integrate_nodal(g, ones, -0.5) == pytest.approx(exact, rel=1e-12)
+    assert hat_masses(g, -0.5) @ ones == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -263,7 +263,7 @@ def test_secant_falls_back_to_bisection(monkeypatch):
 
 
 def test_straddle_outside_the_bracket_bisects():
-    # at (2, 1.5)/512 a secant step lands within shoot_tol of the crossing
+    # at (2, 1.5)/512 a secant step lands within the bracket width 1e-13 of the crossing
     # end, so neither straddle amplitude lies inside the bracket: the solve
     # bisects instead and closes the bracket.  This grid is too coarse for
     # the identities at b = 1.5 (as are 256 and 1024; 2048 passes), so a*
@@ -331,14 +331,14 @@ def test_singular_startup_detected():
     # near b = 2 the startup radius leaves double precision
     for N in (2, 3):
         with pytest.raises(SingularStartup, match=f"N={N}, b=1.98"):
-            solve_ground_state(GNParams(N, 1.98), resolution=1024, shoot_tol=1e-9, r_max=25.0)
+            solve_ground_state(GNParams(N, 1.98), resolution=1024)
     # just inside that limit r0 is 2.5e-126 and the integrands overflow there
     with pytest.raises(SingularStartup, match="integrals overflow"):
-        solve_ground_state(GNParams(3, 1.95), resolution=1024, shoot_tol=1e-9, r_max=25.0)
+        solve_ground_state(GNParams(3, 1.95), resolution=1024)
     # s* lies below the smallest amplitude the bracket search tries (1e-20);
     # searched further down, the integrals overflow as at (3, 1.95)
     with pytest.raises(BracketFailure, match=r"\[1e-20, 10000\]"):
-        solve_ground_state(GNParams(2, 1.95), resolution=1024, shoot_tol=1e-9, r_max=25.0)
+        solve_ground_state(GNParams(2, 1.95), resolution=1024)
 
 
 @pytest.mark.parametrize("N, b", [(3, 1.85), (3, 1.9), (4, 1.65)])
@@ -375,7 +375,52 @@ def test_bracket_failure(monkeypatch):
     empty = np.empty(0)
     monkeypatch.setattr(G, "_march", lambda *args: ("diverge", empty, empty, empty))
     with pytest.raises(BracketFailure, match=r"over amplitudes \[1e-20, 10000\]"):
-        solve_ground_state(GNParams(1, 0.5), resolution=256, shoot_tol=1e-9, r_max=25.0)
+        solve_ground_state(GNParams(1, 0.5), resolution=256)
+
+
+def _solve_on_fake_marches(monkeypatch, status, nodes, shape):
+    """Solve (1, 0.5) on marches that cross above s = 0.7 and otherwise
+    return ``status`` with s times ``shape``; with the secant disabled the
+    bracket closes by bisection."""
+    import critlab.groundstate as G
+
+    dshape = np.gradient(shape, nodes)
+
+    def march(N, b, g, s, r0, h, r_max):
+        sign, name = (-1.0, "cross") if s > 0.7 else (1.0, status)
+        return name, nodes, sign * s * shape, sign * s * dshape
+
+    monkeypatch.setattr(G, "_march", march)
+    monkeypatch.setattr(G, "_secant_step", lambda *args: math.nan)
+    return solve_ground_state(GNParams(1, 0.5), resolution=256)
+
+
+# a non-crossing march that never falls below the tail switch (3.2e-6 of
+# s), has its minimum 1.4e-4 at r = 9.6 and turns up to r = 10
+SLOW_NODES = np.linspace(0.01, 10.0, 1000)
+SLOW_SHAPE = np.exp(-SLOW_NODES) + 1e-4 * np.exp(SLOW_NODES - 10.0)
+
+
+@pytest.mark.parametrize(
+    "status, k", [("diverge", int(np.argmin(SLOW_SHAPE))), ("end", SLOW_NODES.size - 1)]
+)
+def test_tail_switch_fallbacks(monkeypatch, status, k):
+    # the tail starts at a diverging march's lowest node, else at its last
+    gs = _solve_on_fake_marches(monkeypatch, status, SLOW_NODES, SLOW_SHAPE)
+    s_lo, s_hi = gs.meta["bracket"]
+    assert s_lo <= 0.7 < s_hi and gs.meta["tail_status"] == status
+    assert gs.profile.tail_start == SLOW_NODES[k]
+    np.testing.assert_array_equal(gs.profile.nodes[: k + 1], SLOW_NODES[: k + 1])
+    assert abs(gs.profile.nodes[-1] - 30.0) <= 0.5 * 30.0 / 256  # the tail's uniform step
+    tail = gs.profile.values[k + 1:]
+    assert tail.size > 0 and np.all(np.diff(tail) < 0.0)
+
+
+def test_profile_that_does_not_decay_is_refused(monkeypatch):
+    nodes = np.linspace(0.01, 10.0, 1000)
+    refused = r"did not decay below 5% of the amplitude before r=10; increase r_max$"
+    with pytest.raises(BracketFailure, match=refused):
+        _solve_on_fake_marches(monkeypatch, "end", nodes, np.exp(-0.1 * nodes))
 
 
 def test_linearized_probe(gs31):

@@ -3,8 +3,9 @@
 Settable values are the defaulted parameters of the public functions each
 critlab module defines, plus the fields of FlowConfig; public names are
 the non-module names the critlab package exports; source lines are the
-physical lines of the critlab modules.  Adding one means changing the
-count here on purpose.  Every dataclass a critlab module defines is
+physical lines of the critlab modules; the command line has its config
+keys and its override flags.  Adding one means changing the count here on
+purpose.  Every dataclass a critlab module defines is
 frozen, except the archive builder, and the records that hold arrays
 compare by identity.
 """
@@ -16,11 +17,14 @@ import types
 from pathlib import Path
 
 import critlab
-from critlab import FlowConfig
+from critlab import FlowConfig, MinimizerResult
+from critlab.cli import _OVERRIDES, _SCHEMA
 
-MAX_SETTABLE = 21
-MAX_PUBLIC_NAMES = 60
-MAX_SRC_LINES = 2955
+MAX_SETTABLE = 18
+MAX_PUBLIC_NAMES = 59
+MAX_SRC_LINES = 2920
+MAX_CONFIG_KEYS = 28
+MAX_FLAGS = 10
 
 
 def _defaulted_parameters():
@@ -43,10 +47,24 @@ def test_flow_config_fields():
     assert names == ["tol", "max_iters"]
 
 
+def test_minimizer_result_fields():
+    names = [f.name for f in dataclasses.fields(MinimizerResult)]
+    assert names == [
+        "u", "energy", "mu", "eps", "iterations", "converged", "residual", "breakdown",
+        "mu_fit", "newton_steps", "tangent_negatives",
+    ]
+
+
 def test_settable_values_bounded():
     params = _defaulted_parameters()
     total = len(params) + len(dataclasses.fields(FlowConfig))
     assert total <= MAX_SETTABLE, params
+
+
+def test_cli_options_bounded():
+    keys = [f"[{sec}] {key}" for sec, section in _SCHEMA.items() for key in section]
+    assert len(keys) <= MAX_CONFIG_KEYS, keys
+    assert len(_OVERRIDES) <= MAX_FLAGS, [flag for flag, _, _ in _OVERRIDES]
 
 
 def test_public_names_bounded():
@@ -76,7 +94,6 @@ def test_array_records_compare_by_identity():
     # a generated == on array fields raises, and its hash fails
     by_identity = sorted(name for name, cls in _dataclasses() if not cls.__dataclass_params__.eq)
     assert by_identity == [
-        "asymptotics.RescaledProfile",
         "grids.Grid",
         "grids.GridFunction",
         "groundstate.GroundStateData",

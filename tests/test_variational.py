@@ -29,7 +29,7 @@ from critlab import (
     trial_quotient,
 )
 from critlab.potentials import compute_lambda
-from critlab.grids import integrate
+from critlab.grids import hat_masses
 from critlab.asymptotics import limit_profile_start, predicted_eps
 from critlab.variational import (
     _EPS,
@@ -190,7 +190,8 @@ def test_result_scalars_match_public_functions(gs105):
     assert res.energy == pytest.approx(eb.total, rel=1e-14, abs=0.0)
     assert res.breakdown.kinetic == pytest.approx(dirichlet_form(res.u), rel=1e-14, abs=0.0)
     bs = params.beta_sq
-    nl = integrate(res.u.with_values(np.abs(res.u.values) ** params.nonlinear_power), -params.b)
+    nodal = res.u.with_values(np.abs(res.u.values) ** params.nonlinear_power).full()
+    nl = hat_masses(grid, -params.b) @ nodal
     assert res.mu == pytest.approx(res.energy - params.a * bs / (1.0 + bs) * nl, rel=1e-12, abs=0.0)
     system = _System(grid, params, spec)
     mu_fit, defect = system.fit_multiplier(res.u.values)
