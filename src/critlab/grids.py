@@ -9,12 +9,43 @@ Dirichlet form, so flows, energies and residuals share one discrete system.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
+import scipy  # its __init__ sets up the bundled-library paths LAPACK's extension needs
 
 from .params import surface_area
 from .quadrature import cell_weight_integrals, hat_weights
+
+
+def _load_lapack(directory: str):
+    """scipy's compiled LAPACK wrappers, the extension module _flapack that
+    scipy.linalg re-exports, loaded without scipy.linalg's __init__ and the
+    array-API layer it imports (numpy.testing, numpy.f2py, unittest), which
+    would double critlab's start-up time.  A module already registered is
+    reused, and a loaded one is registered, so scipy.linalg shares it;
+    without the extension in ``directory``, the public import is used.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_lapack = _load_lapack(os.path.join(scipy.__path__[0], "linalg"))
+dgtsv, dpttrf, dpttrs = _lapack.dgtsv, _lapack.dpttrf, _lapack.dpttrs
 
 
 @dataclass(frozen=True)

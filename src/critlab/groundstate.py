@@ -25,10 +25,9 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import BracketFailure, IterationStall, SingularStartup, TailUnresolved
-from .grids import Ball, Grid, _dot, hat_masses, kinetic_conductances, stiffness
+from .grids import Ball, Grid, _dot, dgtsv, hat_masses, kinetic_conductances, stiffness
 from .params import GNParams, surface_area
 from .quadrature import cell_moments, hermite_coeffs
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import NonPositive, NotConverged
 from .grids import (
@@ -24,7 +23,10 @@ from .grids import (
     GridFunction,
     _dot,
     apply_stiffness,
+    dgtsv,
     dirichlet_form,
+    dpttrf,
+    dpttrs,
     hat_masses,
     integrate,
     normalize_mass,
@@ -67,7 +69,7 @@ class _System:
     |x|^-b) on interior nodes, the diagonal and off-diagonal of its P1
     stiffness K, and the sampled potential V.  The flow, the energies, the
     multiplier and the stationarity defect all evaluate through these
-    methods.
+    methods; K u comes from the caller, which applies K once per iterate.
     """
 
     def __init__(self, grid: Grid, params: GNParams, spec: PotentialSpec | None):
@@ -93,9 +95,9 @@ class _System:
         """Weighted interaction integral of |u|^{2+2 beta^2}; u_pow = u^{1+2 beta^2} of u > 0."""
         return _dot(self.Wb, np.abs(u) ** self.power if u_pow is None else u_pow * u)
 
-    def energy(self, u, u_pow=None) -> tuple[EnergyBreakdown, float]:
-        """Energy split of nodal values u, and their interaction integral."""
-        kin = _dot(apply_stiffness(self.grid, u), u)
+    def energy(self, u, ku, u_pow=None) -> tuple[EnergyBreakdown, float]:
+        """Energy split of nodal values u with ku = K u, and their interaction integral."""
+        kin = _dot(ku, u)
         pot = _dot(self.WV, u * u)
         nl = self.interaction(u, u_pow)
         nonlinear = self.c_energy * nl
@@ -105,10 +107,10 @@ class _System:
         """Energy identity mu = e - a beta^2/(1+beta^2) * NL."""
         return energy - self.c_mu * nl
 
-    def defect(self, u) -> np.ndarray:
+    def defect(self, u, ku) -> np.ndarray:
         """Nodal defect K u / W + V u - a (Wb / W) |u|^{2 beta^2} u without the mu term."""
         sing = self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq) * u
-        return (apply_stiffness(self.grid, u) - sing) / self.W + self.V * u
+        return (ku - sing) / self.W + self.V * u
 
     def second_variation(self, u, mu: float) -> np.ndarray:
         """Diagonal of J = K + diag(W V - mu W - (1 + 2 beta^2) a Wb |u|^{2 beta^2}),
@@ -117,10 +119,10 @@ class _System:
         sing = (self.power - 1.0) * self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq)
         return self.K_diag + self.WV - mu * self.W - sing
 
-    def fit_multiplier(self, u) -> tuple[float, np.ndarray]:
+    def fit_multiplier(self, u, ku) -> tuple[float, np.ndarray]:
         """Multiplier minimizing the weighted L2 norm of the stationarity defect,
         and the defect at it."""
-        r = self.defect(u)
+        r = self.defect(u, ku)
         mu = _dot(self.W * r, u) / _dot(self.W * u, u)
         return mu, r - mu * u
 
@@ -154,7 +156,7 @@ def evaluate_energy(
     m = sys_.mass(u.values)
     if abs(m - 1.0) > _MASS_TOL:
         raise ValueError(f"|mass - 1| = {abs(m - 1.0):.3g} exceeds {_MASS_TOL}")
-    return sys_.energy(u.values)[0]
+    return sys_.energy(u.values, apply_stiffness(u.grid, u.values))[0]
 
 
 def gn_quotient(u: GridFunction, params: GNParams) -> float:
@@ -313,9 +315,9 @@ def gradient_flow_minimize(
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise ValueError("gradient flow requires a nonnegative, nonzero initial function")
     u = init.values / math.sqrt(sys_.mass(init.values))
-    u_newton, steps = _newton(sys_, u, cfg)
-    if u_newton is not None:
-        result = _build_result(u_newton, sys_, 0, True, steps)
+    end, steps = _newton(sys_, u, cfg)
+    if end is not None:
+        result = _build_result(*end, sys_, 0, True, steps)
         if result.tangent_negatives == 0:
             return result
     return _flow(sys_, u, cfg, steps)
@@ -353,15 +355,16 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
     Each step solves J x1 = -F and J x2 = W u, takes dmu from the border,
     floors each node at a fraction of its value (damping the whole step
     stalls on underflowing tails) and renormalizes, until the defect is
-    below cfg.tol or at its rounding level.  Returns the endpoint and the
-    accepted steps, or None and the steps when a step does not decrease
-    the defect, J is singular, or the steps run out.
+    below cfg.tol or at its rounding level.  Returns the endpoint with its
+    K u and the accepted steps, or None and the steps when a step does not
+    decrease the defect, J is singular, or the steps run out.
     """
-    mu, r = sys_.fit_multiplier(u)
+    ku = apply_stiffness(sys_.grid, u)
+    mu, r = sys_.fit_multiplier(u, ku)
     res = float(np.max(np.abs(r)))
     steps = 0
     while res >= cfg.tol:
-        noise = 2.0 * sys_.K_diag * u - apply_stiffness(sys_.grid, u)  # |K| |u|: u >= 0, K_off <= 0
+        noise = 2.0 * sys_.K_diag * u - ku  # |K| |u|: u >= 0, K_off <= 0
         if res <= _EPS * float(np.max(noise / sys_.W)):  # the defect's rounding level
             break
         if steps >= cfg.max_iters:
@@ -375,13 +378,14 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
         u_new = np.maximum(u + x[:, 0] + dmu * x[:, 1], _NEWTON_FLOOR * u)
         u_new /= math.sqrt(sys_.mass(u_new))
         mu_new = mu + dmu
-        r_new = sys_.defect(u_new) - mu_new * u_new
+        ku_new = apply_stiffness(sys_.grid, u_new)
+        r_new = sys_.defect(u_new, ku_new) - mu_new * u_new
         res_new = float(np.max(np.abs(r_new)))
         if not res_new < res:
             return None, steps
-        u, mu, r, res = u_new, mu_new, r_new, res_new
+        u, ku, mu, r, res = u_new, ku_new, mu_new, r_new, res_new
         steps += 1
-    return u, steps
+    return (u, ku), steps
 
 
 def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> MinimizerResult:
@@ -390,10 +394,11 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
     # implicit step: the inverse of the M-matrix is entrywise positive
     p1 = sys_.power - 1.0
     u_pow = u**p1  # u^{1+2 beta^2}, shared by the step and the energy
+    ku = apply_stiffness(sys_.grid, u)
 
     dt = _DT_START
     fact = sys_.factor(dt)
-    eb, nl = sys_.energy(u, u_pow)
+    eb, nl = sys_.energy(u, ku, u_pow)
     energy_prev, mu_r = eb.total, sys_.multiplier(eb.total, nl)
     iterations = 0
     converged = False
@@ -412,7 +417,8 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
         else:
             u_new = u_star / math.sqrt(sys_.mass(u_star))
             pow_new = u_new**p1
-            eb, nl = sys_.energy(u_new, pow_new)
+            ku_new = apply_stiffness(sys_.grid, u_new)
+            eb, nl = sys_.energy(u_new, ku_new, pow_new)
             energy_new = eb.total
             slack = _ENERGY_SLACK * (1.0 + abs(energy_prev))
             if energy_new > energy_prev + slack and dt > 2.0 * _DT_MIN:
@@ -420,7 +426,7 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
             else:
                 iterations += 1
                 delta = float(np.max(np.abs(u_new - u))) / dt
-                u, u_pow = u_new, pow_new
+                u, u_pow, ku = u_new, pow_new, ku_new
                 energy_prev = energy_new
                 mu_r = sys_.multiplier(energy_new, nl)
                 if delta < cfg.tol:
@@ -434,7 +440,7 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
             fact = sys_.factor(dt)
             clean_steps = 0
 
-    result = _build_result(u, sys_, iterations, converged, newton_steps)
+    result = _build_result(u, ku, sys_, iterations, converged, newton_steps)
     if not converged:
         raise NotConverged(
             f"flow did not reach tol = {cfg.tol:.2g} in {cfg.max_iters} iterations",
@@ -443,9 +449,9 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
     return result
 
 
-def _build_result(u_vals, sys_: _System, iterations, converged, newton_steps):
-    eb, nl = sys_.energy(u_vals)
-    mu_f, r = sys_.fit_multiplier(u_vals)
+def _build_result(u_vals, ku, sys_: _System, iterations, converged, newton_steps):
+    eb, nl = sys_.energy(u_vals, ku)
+    mu_f, r = sys_.fit_multiplier(u_vals, ku)
     return MinimizerResult(
         u=GridFunction(sys_.grid, u_vals),
         energy=eb.total,

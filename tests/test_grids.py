@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from critlab import (
     mass,
     normalize_mass,
 )
+from critlab import grids
 from critlab.grids import Grid, apply_stiffness, dirichlet_form, hat_masses
 from critlab.params import surface_area
 
@@ -247,3 +249,27 @@ def test_dirichlet_form_exact_on_p1_data(case):
         cell = np.diff(x)
     exact = float(np.sum(slope_sq * cell))
     assert dirichlet_form(u) == pytest.approx(exact, rel=1e-12)
+
+
+_FLAPACK = "scipy.linalg._flapack"
+_ROUTINES = ("dgtsv", "dpttrf", "dpttrs")
+
+
+def test_lapack_loader_reuses_a_registered_module(tmp_path):
+    # a registered extension module is taken before any file is looked for,
+    # so an import of scipy.linalg before critlab's shares its routines
+    from scipy.linalg import lapack
+
+    module = grids._load_lapack(str(tmp_path))
+    assert module is sys.modules[_FLAPACK]
+    assert all(getattr(module, name) is getattr(lapack, name) is getattr(grids, name) for name in _ROUTINES)
+
+
+def test_lapack_loader_falls_back_to_the_public_import(tmp_path, monkeypatch):
+    # without the extension file, scipy.linalg.lapack supplies the same routines
+    from scipy.linalg import lapack
+
+    monkeypatch.delitem(sys.modules, _FLAPACK)
+    assert grids._load_lapack(str(tmp_path)) is lapack
+    assert _FLAPACK not in sys.modules
+    assert all(getattr(lapack, name) is getattr(grids, name) for name in _ROUTINES)

@@ -7,12 +7,15 @@ physical lines of the critlab modules; the command line has its config
 keys and its override flags.  Adding one means changing the count here on
 purpose.  Every dataclass a critlab module defines is
 frozen, except the archive builder, and the records that hold arrays
-compare by identity.
+compare by identity.  Importing critlab does not import scipy.linalg.
 """
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from critlab.cli import _OVERRIDES, _SCHEMA
 
 MAX_SETTABLE = 18
 MAX_PUBLIC_NAMES = 59
-MAX_SRC_LINES = 2920
+MAX_SRC_LINES = 2956
 MAX_CONFIG_KEYS = 28
 MAX_FLAGS = 10
 
@@ -105,3 +108,32 @@ def test_array_records_compare_by_identity():
 def test_source_lines_bounded():
     lines = sum(len(path.read_text().splitlines()) for path in Path(critlab.__file__).parent.glob("*.py"))
     assert lines <= MAX_SRC_LINES
+
+
+_IMPORT_SURFACE = """
+import sys
+import critlab
+assert "scipy.linalg" not in sys.modules, "import critlab imported scipy.linalg"
+import critlab.cli
+assert "scipy.linalg" not in sys.modules, "import critlab.cli imported scipy.linalg"
+import numpy as np
+from critlab import grids
+assert sys.modules["scipy.linalg._flapack"] is grids._lapack, "the extension is not registered"
+from scipy.linalg import lapack, solve_banded
+for name in ("dgtsv", "dpttrf", "dpttrs"):
+    assert getattr(grids, name) is getattr(lapack, name), name
+ab = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
+assert np.allclose(solve_banded((1, 1), ab, np.array([1.0, 0.0, 1.0])), 1.0, rtol=0.0, atol=1e-15)
+"""
+
+
+def test_import_surface():
+    # critlab loads scipy's LAPACK extension by itself: scipy.linalg, whose
+    # import pulls in numpy.testing, numpy.f2py and unittest, stays out, and
+    # a later import of it shares the same routines.  A fresh interpreter,
+    # since this one has imported scipy through the tests' oracles.
+    src = str(Path(critlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

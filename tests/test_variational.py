@@ -29,11 +29,12 @@ from critlab import (
     trial_quotient,
 )
 from critlab.potentials import compute_lambda
-from critlab.grids import hat_masses
+from critlab.grids import apply_stiffness, hat_masses
 from critlab.asymptotics import limit_profile_start, predicted_eps
 from critlab.variational import (
     _EPS,
     _System,
+    _dot,
     _flow,
     _tangent_negative_count,
     _trial_radial_integrals,
@@ -52,7 +53,7 @@ def flow_only(init, params, spec, cfg=FlowConfig()):
 
 def defect_sup(system, u, mu):
     """Sup-norm of the stationarity defect at multiplier mu."""
-    return float(np.max(np.abs(system.defect(u) - mu * u)))
+    return float(np.max(np.abs(system.defect(u, apply_stiffness(system.grid, u)) - mu * u)))
 
 
 def eigenfunction(grid):
@@ -194,9 +195,38 @@ def test_result_scalars_match_public_functions(gs105):
     nl = hat_masses(grid, -params.b) @ nodal
     assert res.mu == pytest.approx(res.energy - params.a * bs / (1.0 + bs) * nl, rel=1e-12, abs=0.0)
     system = _System(grid, params, spec)
-    mu_fit, defect = system.fit_multiplier(res.u.values)
+    mu_fit, defect = system.fit_multiplier(res.u.values, apply_stiffness(grid, res.u.values))
     assert res.mu_fit == mu_fit
     assert res.residual == float(np.max(np.abs(defect))) == defect_sup(system, res.u.values, mu_fit)
+
+
+def _endpoint_case(gs, kind):
+    """A start at 0.9 a* that Newton finishes (the limit profile) or that
+    stays on the flow (a cold start, which Newton abandons)."""
+    grid = build_grid(Interval(-8.0, 8.0), 512)
+    spec = PotentialSpec(p0=2.0)
+    a = 0.9 * gs.a_star
+    if kind == "newton":
+        init = limit_profile_start(gs, grid, predicted_eps(gs.a_star - a, gs, compute_lambda(spec, gs)))
+    else:
+        init = GridFunction(grid, np.random.default_rng(17).uniform(0.2, 1.0, grid.n_interior))
+    return init, gs.params.with_a(a), spec
+
+
+@pytest.mark.parametrize("kind", ["newton", "flow"])
+def test_residual_sits_at_fitted_multiplier(gs105, kind):
+    # the reported residual is the sup of the defect at mu_fit, and mu_fit
+    # is its W-weighted least-squares multiplier: the defect it leaves is
+    # W-orthogonal to u, to within the rounding of the sums that form it
+    init, params, spec = _endpoint_case(gs105, kind)
+    res = gradient_flow_minimize(init, params, spec)
+    assert res.converged and (res.iterations == 0) == (kind == "newton")
+    system = _System(init.grid, params, spec)
+    u = res.u.values
+    d = system.defect(u, apply_stiffness(init.grid, u))
+    r = d - res.mu_fit * u
+    assert res.residual == float(np.max(np.abs(r)))
+    assert abs(_dot(system.W * r, u)) <= 2.0 * u.size * _EPS * float(np.sum(np.abs(system.W * d * u)))
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +551,25 @@ def test_uncertified_newton_endpoint_not_returned(gs105, monkeypatch):
     ref = flow_only(init, params, spec)
     assert res.newton_steps > 0 and res.iterations == ref.iterations > 0
     assert np.array_equal(res.u.values, ref.u.values)
+
+
+@pytest.mark.parametrize("kind", ["newton", "flow"])
+def test_stiffness_applied_once_per_iterate(gs105, kind, monkeypatch):
+    # each iterate's K u is computed once and passed along to the defect,
+    # the rounding floor, the energy and the fitted multiplier
+    import critlab.variational as V
+
+    init, params, spec = _endpoint_case(gs105, kind)
+    seen = []
+
+    def recording(grid, u):
+        seen.append(u.copy())
+        return apply_stiffness(grid, u)
+
+    monkeypatch.setattr(V, "apply_stiffness", recording)
+    res = gradient_flow_minimize(init, params, spec)
+    assert (res.iterations == 0) == (kind == "newton")
+    assert [k for k in range(1, len(seen)) if np.array_equal(seen[k - 1], seen[k])] == []
 
 
 def test_energy_lower_bound_invariant(gs105):
