@@ -37,9 +37,11 @@ class MassViolation(CritlabError):
 
 
 class NotConverged(CritlabError):
-    """Gradient flow hit max_iters before reaching tolerance.
+    """A minimization ended without a certified endpoint.
 
-    Carries the partial result (if any) on the ``partial`` attribute.
+    The flow hit max_iters before reaching tolerance, or stopped at an
+    endpoint that is not a minimizer the grid resolves (the message names
+    the energy, eps and h).  ``partial`` carries that result, if any.
     """
 
     def __init__(self, message, partial=None):

@@ -125,8 +125,8 @@ class RadialProfile:
 
     Nodes start at the startup radius r0 > 0; the closed-form series covers
     [0, r0].  Beyond ``tail_start`` the stored values are the matched
-    asymptotic tail, so the profile is decaying by construction out to
-    ``r_max``.
+    asymptotic tail, so the profile is decaying by construction out to its
+    last node, ``r_max``.
     """
 
     nodes: np.ndarray
@@ -383,15 +383,14 @@ def solve_ground_state(
     rk = nodes[k]
     K = values[k] / _tail(N, 1.0, rk)[0]
 
-    # extend the stored grid to r_max on the uniform step and fill the tail
+    # extend the stored grid to exactly r_max on equal steps of at most h
+    # and fill the tail
     if nodes[-1] < r_max - 1e-9 or k < nodes.size - 1:
-        keep = nodes[: k + 1]
-        extra = np.arange(rk + h, r_max + 0.5 * h, h)
-        nodes = np.concatenate([keep, extra])
+        extra = np.linspace(rk, r_max, math.ceil((r_max - rk) / h) + 1)[1:]
+        nodes = np.concatenate([nodes[: k + 1], extra])
         tail_values, tail_derivs = _tail(N, K, extra)
         values = np.concatenate([values[: k + 1], tail_values])
         derivs = np.concatenate([derivs[: k + 1], tail_derivs])
-    tail_start = rk
 
     profile = RadialProfile(
         nodes=nodes,
@@ -400,7 +399,7 @@ def solve_ground_state(
         r_max=r_max,
         startup_amplitude=s_star,
         tail_coeff=K,
-        tail_start=tail_start,
+        tail_start=rk,
     )
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below

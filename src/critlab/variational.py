@@ -6,9 +6,10 @@ masses and P1 stiffness; Newton, the flow, the public energy functions and
 the result scalars all evaluate through it, so Newton's root and the flow's
 fixed point solve the same discrete Euler-Lagrange system and the reported
 multiplier identity closes by construction.  A minimization tries
-bordered Newton first and keeps its endpoint only with a certificate that
-it is a strict local minimizer (no tangent descent direction); otherwise
-the gradient flow runs from the same start.
+bordered Newton first and keeps its endpoint only if it is certified (no
+tangent descent direction, and an energy above the grid's P1 error);
+otherwise the gradient flow runs from the same start, and an uncertified
+flow endpoint is refused.
 """
 from __future__ import annotations
 
@@ -258,8 +259,7 @@ class FlowConfig:
     the implicit step, so the flow's residual can end above ``tol``.
     ``max_iters``: accepted steps of each method; Newton hands over to
     the flow when it runs out, the flow raises NotConverged.  The flow's
-    time step starts at 1e-2 and adapts within [1e-7, 0.25]; there is no
-    energy floor, so a flow above a* runs until it stops on the grid.
+    time step starts at 1e-2 and adapts within [1e-7, 0.25].
     """
 
     tol: float = 1e-9
@@ -273,7 +273,11 @@ class MinimizerResult:
     ``iterations`` counts the flow's accepted steps (0 when Newton's
     endpoint is returned); ``newton_steps`` the accepted Newton steps,
     also those of an attempt the flow took over from; ``tangent_negatives``
-    the tangent descent directions of the second variation (0: strict local minimizer).
+    the tangent descent directions of the second variation.  A returned
+    result is certified: a count of 0, which makes it a local minimizer
+    only (the lumped interaction's grid-scale spike reads 0 too), and an
+    energy above the P1 error h^2 / eps^4, which refuses the spike and
+    every energy <= 0 (below a* with V >= 0 the energy is positive).
     """
 
     u: GridFunction
@@ -299,15 +303,14 @@ def gradient_flow_minimize(
 
     Newton solves the discrete Euler-Lagrange system and the unit-mass
     constraint from the normalized init; its endpoint is returned only if
-    every step lowered the defect (down to its rounding level) and the
-    second variation has no negative direction tangent to the constraint
-    (a strict local minimizer).  Otherwise the normalized init goes to
-    the normalized gradient flow, unchanged by the attempt: backward Euler
-    in the Laplacian and the potential, explicit interaction with a
+    every step lowered the defect (down to its rounding level) and it is
+    certified (MinimizerResult).  Otherwise the normalized init goes to the
+    normalized gradient flow, unchanged by the attempt: backward Euler in
+    the Laplacian and the potential, explicit interaction with a
     multiplier shift (so its fixed point solves the same system),
     renormalization after every step, and time-step adaptation on
-    positivity loss or energy increase.  The potential must be nonnegative
-    on the grid.
+    positivity loss or energy increase; an uncertified flow endpoint raises
+    NotConverged.  The potential must be nonnegative on the grid.
     """
     sys_ = _System(init.grid, params, spec)
     if not np.all(sys_.V >= 0.0):
@@ -316,11 +319,29 @@ def gradient_flow_minimize(
         raise ValueError("gradient flow requires a nonnegative, nonzero initial function")
     u = init.values / math.sqrt(sys_.mass(init.values))
     end, steps = _newton(sys_, u, cfg)
-    if end is not None:
-        result = _build_result(*end, sys_, 0, True, steps)
-        if result.tangent_negatives == 0:
-            return result
-    return _flow(sys_, u, cfg, steps)
+    if end is not None and _certified(result := _build_result(*end, sys_, 0, True, steps)):
+        return result
+    result = _flow(sys_, u, cfg, steps)
+    if not _certified(result):
+        h = sys_.grid.h
+        raise NotConverged(
+            f"the flow's endpoint is not a minimizer the grid resolves: energy {result.energy:.6g} "
+            f"(h^2/eps^4 = {_p1_energy_error(h, result.eps):.3g}), {result.tangent_negatives} "
+            f"tangent negatives, at eps = {result.eps:.4g} with h = {h:.4g}; refine the grid",
+            partial=result,
+        )
+    return result
+
+
+def _p1_energy_error(h: float, eps: float) -> float:
+    """Order h^2 / eps^4 of the P1 energy error of a profile of width eps on cells h."""
+    return h**2 / eps**4
+
+
+def _certified(result: MinimizerResult) -> bool:
+    """A tangent count of 0 and an energy above the P1 error (MinimizerResult)."""
+    h = result.u.grid.h
+    return result.tangent_negatives == 0 and result.energy > _p1_energy_error(h, result.eps)
 
 
 def _tangent_negative_count(sys_: _System, u, mu: float) -> int:
@@ -536,7 +557,9 @@ def multistart_uniqueness(
     """Run the flow from independent random positive starts and compare.
 
     The starts run one after another; ``n_workers`` is accepted for
-    compatibility and has no effect.
+    compatibility and has no effect.  A start whose minimization raises
+    NotConverged, an endpoint the grid does not resolve included, is
+    listed in ``failures``.
     """
     if n_starts < 3:
         raise ValueError("need at least 3 starts for a meaningful comparison")
@@ -558,10 +581,7 @@ def multistart_uniqueness(
             max_l2 = max(max_l2, math.sqrt(integrate(ulist[i].u.with_values(d * d))))
             max_sup = max(max_sup, float(np.max(np.abs(d))))
     energies = [r.energy for r in ulist]
-    if energies:
-        spread = (max(energies) - min(energies)) / max(abs(np.mean(energies)), 1e-300)
-    else:
-        spread = math.nan
+    spread = (max(energies) - min(energies)) / abs(np.mean(energies)) if energies else math.nan
     return UniquenessReport(
         n_requested=n_starts,
         n_converged=len(ulist),

@@ -88,6 +88,8 @@ def test_sweep_structure_and_trends(mini_sweep, gs105):
     assert all(e2 < e1 for e1, e2 in zip(epses, epses[1:]))
     errs = [r.profile_err_sup for r in sw.records]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+    # every endpoint the sweep keeps is a local minimizer the grid resolves
+    assert all(r.tangent_negatives == 0 and r.energy > r.h**2 / r.eps**4 for r in sw.records)
 
 
 def test_sweep_respects_lemma_bound(mini_sweep, gs105):

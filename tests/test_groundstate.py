@@ -416,6 +416,18 @@ def test_tail_switch_fallbacks(monkeypatch, status, k):
     assert tail.size > 0 and np.all(np.diff(tail) < 0.0)
 
 
+@pytest.mark.parametrize("N, b, resolution", [(1, 0.5, 512), (1, 0.5, 4096), (2, 1.0, 512)])
+def test_profile_ends_at_r_max(N, b, resolution):
+    # the tail extension ends exactly at r_max, on equal steps of at most h;
+    # it used to end up to half a step off (30.0187 at (1, 0.5)/512)
+    profile = solve_ground_state(GNParams(N, b), resolution=resolution).profile
+    assert profile.nodes[-1] == profile.r_max
+    k = int(np.searchsorted(profile.nodes, profile.tail_start))
+    steps = np.diff(profile.nodes[k:])
+    h = profile.r_max / resolution
+    assert np.all(steps <= h * (1.0 + 1e-12)) and np.ptp(steps) <= 1e-12 * h
+
+
 def test_profile_that_does_not_decay_is_refused(monkeypatch):
     nodes = np.linspace(0.01, 10.0, 1000)
     refused = r"did not decay below 5% of the amplitude before r=10; increase r_max$"

@@ -25,7 +25,7 @@ from critlab.cli import _OVERRIDES, _SCHEMA
 
 MAX_SETTABLE = 18
 MAX_PUBLIC_NAMES = 59
-MAX_SRC_LINES = 2956
+MAX_SRC_LINES = 2955
 MAX_CONFIG_KEYS = 28
 MAX_FLAGS = 10
 

@@ -325,13 +325,41 @@ def test_flow_energy_monotone_trace():
 @pytest.mark.parametrize("resolution", [512, 2048])
 def test_flow_above_threshold_stops_on_grid(gs105, resolution):
     # no minimizer exists above a*: the flow concentrates until the grid
-    # stops it, at a spike narrower than two cells with negative energy
+    # stops it, at a spike narrower than two cells with negative energy,
+    # and the endpoint is refused with the spike as the partial result
     grid = build_grid(Interval(-4.0, 4.0), resolution)
     init = make_trial_function(gs105, grid, 10.0, R=1.0)
-    res = gradient_flow_minimize(init, gs105.params.with_a(1.1 * gs105.a_star), None, FlowConfig())
+    with pytest.raises(NotConverged, match="refine the grid") as exc_info:
+        gradient_flow_minimize(init, gs105.params.with_a(1.1 * gs105.a_star), None, FlowConfig())
+    res = exc_info.value.partial
     assert res.converged
     assert res.eps < 2.0 * grid.h
     assert res.energy < 0.0
+
+
+def test_narrow_start_below_threshold_is_refused(gs105):
+    # below a*, a start of width 2h (floored positive, as the limit-profile
+    # start is) leads Newton to a saddle (tangent count 1) and the flow into
+    # the lumped interaction's grid-scale spike, a local minimizer (count 0)
+    # with negative energy; neither endpoint is returned
+    grid = build_grid(Interval(-8.0, 8.0), 512)
+    x = grid.interior_nodes
+    init = normalize_mass(GridFunction(grid, np.maximum(np.exp(-((x / (2.0 * grid.h)) ** 2)), 1e-30)))
+    params = gs105.params.with_a(0.9 * gs105.a_star)
+    spec = PotentialSpec(p0=2.0)
+    with pytest.raises(NotConverged) as exc_info:
+        gradient_flow_minimize(init, params, spec, FlowConfig())
+    message = str(exc_info.value)
+    assert "eps = " in message and "h = " in message and "refine the grid" in message
+    res = exc_info.value.partial
+    assert res.converged and res.tangent_negatives == 0
+    assert res.eps / grid.h < 2.0
+    assert res.energy < 0.0
+    # restarted at the spike, Newton ends in one step at tangent count 0; the
+    # energy test refuses that endpoint as well as the flow's
+    with pytest.raises(NotConverged) as exc_info:
+        gradient_flow_minimize(res.u, params, spec, FlowConfig())
+    assert exc_info.value.partial.newton_steps == 1 and exc_info.value.partial.energy < 0.0
 
 
 def test_flow_not_converged_carries_partial():
@@ -546,7 +574,10 @@ def test_uncertified_newton_endpoint_not_returned(gs105, monkeypatch):
     params = gs105.params.with_a(0.5 * gs105.a_star)
     init = limit_profile_start(gs105, grid, predicted_eps(0.5 * gs105.a_star, gs105, lam))
     assert gradient_flow_minimize(init, params, spec).iterations == 0
-    monkeypatch.setattr(V, "_tangent_negative_count", lambda *args: 1)
+    # Newton's endpoint is counted first; the flow's keeps its own count
+    counts = iter([1])
+    real = V._tangent_negative_count
+    monkeypatch.setattr(V, "_tangent_negative_count", lambda *args: next(counts, None) or real(*args))
     res = gradient_flow_minimize(init, params, spec)
     ref = flow_only(init, params, spec)
     assert res.newton_steps > 0 and res.iterations == ref.iterations > 0
