@@ -4,12 +4,12 @@ One discrete system (`_System`) sums the energy, the multiplier, the
 stationarity defect and the second variation from the grid's memoized hat
 masses and P1 stiffness; Newton, the flow, the public energy functions and
 the result scalars all evaluate through it, so Newton's root and the flow's
-fixed point solve the same discrete Euler-Lagrange system and the reported
-multiplier identity closes by construction.  A minimization tries
-bordered Newton first and keeps its endpoint only if it is certified (no
-tangent descent direction, and an energy above the grid's P1 error);
-otherwise the gradient flow runs from the same start, and an uncertified
-flow endpoint is refused.
+fixed point solve the same discrete Euler-Lagrange system.  Their one
+multiplier is the energy identity's, kin + pot - a NL at unit mass.  A
+minimization tries bordered Newton first and keeps its endpoint only if it
+is certified (no tangent descent direction, and an energy above the grid's
+P1 error); otherwise the gradient flow runs from the same start, and an
+uncertified flow endpoint is refused.
 """
 from __future__ import annotations
 
@@ -69,8 +69,9 @@ class _System:
     Holds the grid's memoized hat masses W (weight 1) and Wb (weight
     |x|^-b) on interior nodes, the diagonal and off-diagonal of its P1
     stiffness K, and the sampled potential V.  The flow, the energies, the
-    multiplier and the stationarity defect all evaluate through these
-    methods; K u comes from the caller, which applies K once per iterate.
+    multiplier (``energy`` returns it with the energy) and the stationarity
+    defect all evaluate through these methods; K u comes from the caller,
+    which applies K once per iterate.
     """
 
     def __init__(self, grid: Grid, params: GNParams, spec: PotentialSpec | None):
@@ -97,21 +98,19 @@ class _System:
         return _dot(self.Wb, np.abs(u) ** self.power if u_pow is None else u_pow * u)
 
     def energy(self, u, ku, u_pow=None) -> tuple[EnergyBreakdown, float]:
-        """Energy split of nodal values u with ku = K u, and their interaction integral."""
+        """Energy split of unit-mass nodal values u with ku = K u, and their
+        multiplier mu = e - a beta^2/(1+beta^2) NL."""
         kin = _dot(ku, u)
         pot = _dot(self.WV, u * u)
         nl = self.interaction(u, u_pow)
         nonlinear = self.c_energy * nl
-        return EnergyBreakdown(kin, pot, nonlinear, kin + pot - nonlinear), nl
+        total = kin + pot - nonlinear
+        return EnergyBreakdown(kin, pot, nonlinear, total), total - self.c_mu * nl
 
-    def multiplier(self, energy: float, nl: float) -> float:
-        """Energy identity mu = e - a beta^2/(1+beta^2) * NL."""
-        return energy - self.c_mu * nl
-
-    def defect(self, u, ku) -> np.ndarray:
-        """Nodal defect K u / W + V u - a (Wb / W) |u|^{2 beta^2} u without the mu term."""
+    def defect(self, u, ku, mu: float) -> np.ndarray:
+        """Nodal defect K u / W + V u - a (Wb / W) |u|^{2 beta^2} u - mu u."""
         sing = self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq) * u
-        return (ku - sing) / self.W + self.V * u
+        return (ku - sing) / self.W + self.V * u - mu * u
 
     def second_variation(self, u, mu: float) -> np.ndarray:
         """Diagonal of J = K + diag(W V - mu W - (1 + 2 beta^2) a Wb |u|^{2 beta^2}),
@@ -119,13 +118,6 @@ class _System:
         off-diagonal is the stiffness's."""
         sing = (self.power - 1.0) * self.aWb * np.abs(u) ** (2.0 * self.params.beta_sq)
         return self.K_diag + self.WV - mu * self.W - sing
-
-    def fit_multiplier(self, u, ku) -> tuple[float, np.ndarray]:
-        """Multiplier minimizing the weighted L2 norm of the stationarity defect,
-        and the defect at it."""
-        r = self.defect(u, ku)
-        mu = _dot(self.W * r, u) / _dot(self.W * u, u)
-        return mu, r - mu * u
 
     def flow_rhs(self, u, u_pow, dt: float, mu: float) -> np.ndarray:
         """Right-hand side W (u / dt + mu u) + a Wb u_pow of a flow step, u_pow = u^{1+2 beta^2}:
@@ -270,14 +262,16 @@ class FlowConfig:
 class MinimizerResult:
     """Converged (or partial) minimizer with its derived scalars.
 
-    ``iterations`` counts the flow's accepted steps (0 when Newton's
-    endpoint is returned); ``newton_steps`` the accepted Newton steps,
-    also those of an attempt the flow took over from; ``tangent_negatives``
-    the tangent descent directions of the second variation.  A returned
-    result is certified: a count of 0, which makes it a local minimizer
-    only (the lumped interaction's grid-scale spike reads 0 too), and an
-    energy above the P1 error h^2 / eps^4, which refuses the spike and
-    every energy <= 0 (below a* with V >= 0 the energy is positive).
+    ``mu`` is the energy identity's multiplier, ``residual`` the sup-norm
+    defect at it; ``iterations`` counts the flow's accepted steps (0 when
+    Newton's endpoint is returned); ``newton_steps`` the accepted Newton
+    steps, also those of an attempt the flow took over from;
+    ``tangent_negatives`` the tangent descent directions of the second
+    variation at ``mu``.  A returned result is certified: a count of 0,
+    which makes it a local minimizer only (the lumped interaction's
+    grid-scale spike reads 0 too), and an energy above the P1 error
+    h^2 / eps^4, which refuses the spike and every energy <= 0 (below a*
+    with V >= 0 the energy is positive).
     """
 
     u: GridFunction
@@ -288,7 +282,6 @@ class MinimizerResult:
     converged: bool
     residual: float
     breakdown: EnergyBreakdown
-    mu_fit: float
     newton_steps: int
     tangent_negatives: int
 
@@ -381,7 +374,8 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
     decrease the defect, J is singular, or the steps run out.
     """
     ku = apply_stiffness(sys_.grid, u)
-    mu, r = sys_.fit_multiplier(u, ku)
+    mu = sys_.energy(u, ku)[1]
+    r = sys_.defect(u, ku, mu)
     res = float(np.max(np.abs(r)))
     steps = 0
     while res >= cfg.tol:
@@ -400,7 +394,7 @@ def _newton(sys_: _System, u, cfg: FlowConfig):
         u_new /= math.sqrt(sys_.mass(u_new))
         mu_new = mu + dmu
         ku_new = apply_stiffness(sys_.grid, u_new)
-        r_new = sys_.defect(u_new, ku_new) - mu_new * u_new
+        r_new = sys_.defect(u_new, ku_new, mu_new)
         res_new = float(np.max(np.abs(r_new)))
         if not res_new < res:
             return None, steps
@@ -419,8 +413,8 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
 
     dt = _DT_START
     fact = sys_.factor(dt)
-    eb, nl = sys_.energy(u, ku, u_pow)
-    energy_prev, mu_r = eb.total, sys_.multiplier(eb.total, nl)
+    eb, mu_r = sys_.energy(u, ku, u_pow)
+    energy_prev = eb.total
     iterations = 0
     converged = False
     clean_steps = 0
@@ -439,17 +433,15 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
             u_new = u_star / math.sqrt(sys_.mass(u_star))
             pow_new = u_new**p1
             ku_new = apply_stiffness(sys_.grid, u_new)
-            eb, nl = sys_.energy(u_new, ku_new, pow_new)
-            energy_new = eb.total
+            eb, mu_new = sys_.energy(u_new, ku_new, pow_new)
             slack = _ENERGY_SLACK * (1.0 + abs(energy_prev))
-            if energy_new > energy_prev + slack and dt > 2.0 * _DT_MIN:
+            if eb.total > energy_prev + slack and dt > 2.0 * _DT_MIN:
                 new_dt = max(dt * 0.5, _DT_MIN)
             else:
                 iterations += 1
                 delta = float(np.max(np.abs(u_new - u))) / dt
                 u, u_pow, ku = u_new, pow_new, ku_new
-                energy_prev = energy_new
-                mu_r = sys_.multiplier(energy_new, nl)
+                energy_prev, mu_r = eb.total, mu_new
                 if delta < cfg.tol:
                     converged = True
                     break
@@ -471,20 +463,18 @@ def _flow(sys_: _System, u, cfg: FlowConfig, newton_steps: int = 0) -> Minimizer
 
 
 def _build_result(u_vals, ku, sys_: _System, iterations, converged, newton_steps):
-    eb, nl = sys_.energy(u_vals, ku)
-    mu_f, r = sys_.fit_multiplier(u_vals, ku)
+    eb, mu = sys_.energy(u_vals, ku)
     return MinimizerResult(
         u=GridFunction(sys_.grid, u_vals),
         energy=eb.total,
-        mu=sys_.multiplier(eb.total, nl),
+        mu=mu,
         eps=1.0 / math.sqrt(eb.kinetic),
         iterations=iterations,
         converged=converged,
-        residual=float(np.max(np.abs(r))),
+        residual=float(np.max(np.abs(sys_.defect(u_vals, ku, mu)))),
         breakdown=eb,
-        mu_fit=mu_f,
         newton_steps=newton_steps,
-        tangent_negatives=_tangent_negative_count(sys_, u_vals, mu_f),
+        tangent_negatives=_tangent_negative_count(sys_, u_vals, mu),
     )
 
 
@@ -506,8 +496,8 @@ def nonexistence_probe(
     (1 - a/a*) tau^2 / beta^2 plus the potential's contribution.
     """
     taus = list(tau_list)
-    if any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
-        raise ValueError("tau_list must be strictly increasing")
+    if not taus or any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
+        raise ValueError(f"tau_list must be nonempty and strictly increasing, got {taus}")
     if params.a < gs.a_star:
         raise ValueError(
             f"nonexistence probe expects a >= a* = {gs.a_star:.6g}, got a = {params.a}"
@@ -527,6 +517,8 @@ def fit_tau_square_coefficient(taus, energies, p: float | None = None) -> float:
     cols = [taus**2, np.ones_like(taus)]
     if p is not None:
         cols.append(taus ** (-p))
+    if taus.size < len(cols):
+        raise ValueError(f"{len(cols)} fitted columns need as many taus in tau_list, got {taus.size}")
     A = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(A, energies, rcond=None)
     return float(coef[0])

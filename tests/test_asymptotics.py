@@ -146,7 +146,7 @@ def test_rescale_synthetic_self_consistency(gs105):
     u = GridFunction(grid, vals)
     fake = MinimizerResult(
         u=u, energy=0.0, mu=0.0, eps=eps, iterations=0, converged=True, residual=0.0,
-        breakdown=EnergyBreakdown(0, 0, 0, 0), mu_fit=0.0, newton_steps=0, tangent_negatives=0,
+        breakdown=EnergyBreakdown(0, 0, 0, 0), newton_steps=0, tangent_negatives=0,
     )
     err_l2, err_sup = rescale_minimizer(fake, gs105)
     assert err_sup < 1e-12

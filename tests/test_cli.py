@@ -220,6 +220,20 @@ def test_uniqueness_unconverged_starts_fail(tmp_path, capsys):
     assert rep["n_converged"] == 0 and rep["energy_spread_rel"] is None
 
 
+# what the message of a case names, where the test pins it
+_NAMED = {
+    "nonexist-one-tau": "3 fitted columns need as many taus in tau_list, got 1",
+    "nonexist-no-taus": "tau_list must be nonempty",
+    "gn-no-random": "[gn] n_random 0 is below 1",
+    "gn-no-taus": "[trial] tau_list is empty",
+    "nonexist-at-threshold": "nonexist needs a > a_star; got a/a_star = 1.0000",
+    "sweep-no-potential": "sweep requires a potential",
+    "unknown-domain-kind": "unknown domain kind 'square'",
+    "malformed-config": "malformed config: File contains no section headers.",
+    "unreadable-config": "cannot read config file",
+}
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -260,9 +274,19 @@ def test_uniqueness_unconverged_starts_fail(tmp_path, capsys):
         pytest.param(
             ["nonexist", "--a-mult", "1.2"], "[trial]\ncutoff_radius = -0.5\n", id="nonexist-negative-cutoff"
         ),
+        # too few or no tau values, and no random functions: nothing to fit or to take the min of
+        pytest.param(["nonexist", "--a-mult", "1.2", "--taus", "5"], "", id="nonexist-one-tau"),
+        pytest.param(["nonexist", "--a-mult", "1.2", "--taus", ";"], "", id="nonexist-no-taus"),
+        pytest.param(["gn-check", "--n-random", "0"], "", id="gn-no-random"),
+        pytest.param(["gn-check", "--taus", ";"], "", id="gn-no-taus"),
+        pytest.param(["nonexist", "--a-mult", "1.0"], "", id="nonexist-at-threshold"),
+        pytest.param(["sweep"], "[potential]\nkind = none\n", id="sweep-no-potential"),
+        pytest.param(["minimize"], "[domain]\nkind = square\n", id="unknown-domain-kind"),
+        pytest.param(["ground-state"], "[problem\nn = 1\n", id="malformed-config"),
+        pytest.param(["ground-state"], None, id="unreadable-config"),  # no file at the path
     ],
 )
-def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, argv, text):
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, request, argv, text):
     flows = []
     flow = critlab.asymptotics.gradient_flow_minimize
 
@@ -272,12 +296,14 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, ar
 
     monkeypatch.setattr(critlab.asymptotics, "gradient_flow_minimize", counted)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    if text is not None:
+        cfg.write_text(text)
     code = run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert flows == []  # a short sweep is refused before its first flow
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert _NAMED.get(request.node.callspec.id, "") in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -308,21 +334,22 @@ def test_minimize_reports_newton_steps(tmp_path, capsys):
     assert (record["iterations"], record["newton_steps"], record["tangent_negatives"]) == (0, 3, 0)
 
 
+@pytest.mark.parametrize("command", ["minimize", "uniqueness"])
 @pytest.mark.parametrize("resolution", ["512", "2048"])
-def test_minimize_above_threshold_fails(tmp_path, capsys, monkeypatch, resolution):
-    # with V(0) = 0 no minimizer exists for a >= a*: minimize refuses the
-    # input before the ground-state solve, and writes no archive
+def test_minimize_above_threshold_fails(tmp_path, capsys, monkeypatch, command, resolution):
+    # with V(0) = 0 no minimizer exists for a >= a*: minimize and uniqueness
+    # refuse the input before the ground-state solve, and write no archive
     monkeypatch.setattr("critlab.cli.solve_ground_state", lambda *args, **kw: pytest.fail("solved"))
     for a_mult in ("1.0", "1.1"):
         out = tmp_path / f"above{a_mult}"
         code = run_command(
             [
-                "minimize", "--a-mult", a_mult, "--resolution", resolution,
-                "--gs-resolution", "1024", "--out", str(out),
+                command, "--a-mult", a_mult, "--resolution", resolution,
+                "--gs-resolution", "1024", "--n-starts", "3", "--out", str(out),
             ]
         )
         assert code == 1
-        assert f"minimize needs a < a_star; got a/a_star = {float(a_mult):.4f}" in capsys.readouterr().err
+        assert f"{command} needs a < a_star; got a/a_star = {float(a_mult):.4f}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -358,9 +385,9 @@ def test_verify_all_command(tmp_path, capsys, monkeypatch):
     assert "FAIL" not in text
     # the four commands' checks plus the panel's own three
     n_pass = sum(line.startswith("PASS  ") for line in text.splitlines())
-    assert n_pass == 11
+    assert n_pass == 10
     checks = json.loads((out / "checks.json").read_text())
-    assert len(checks) == 11 and all(c["ok"] is True for c in checks)
+    assert len(checks) == 10 and all(c["ok"] is True for c in checks)
     assert "verify.json" not in json.loads((out / "manifest.json").read_text())["files"]
 
 
@@ -384,7 +411,23 @@ def test_minimize_h_kinds(tmp_path, capsys, potential):
     assert run_command(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     checks = json.loads((out / "checks.json").read_text())
-    assert len(checks) == 3 and all(c["ok"] for c in checks)
+    assert len(checks) == 2 and all(c["ok"] for c in checks)
+
+
+def test_minimize_without_potential(tmp_path, capsys):
+    # V = 0: the minimization starts from seeded random values, not from the
+    # limit profile
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(
+        "[domain]\nx_lo = -1.0\nx_hi = 1.0\nresolution = 256\n"
+        "[potential]\nkind = none\n"
+        "[groundstate]\nresolution = 1024\n"
+    )
+    out = tmp_path / "min"
+    assert run_command(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    record = json.loads((out / "minimizer.json").read_text())
+    assert record["breakdown"]["potential_term"] == 0.0 and record["iterations"] > 0
 
 
 def test_ground_state_archive_is_the_same_from_every_command(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from critlab import (
     BracketFailure,
     GNParams,
+    IterationStall,
     SingularStartup,
     TailUnresolved,
     linearized_probe,
@@ -468,3 +469,33 @@ def test_linearized_probe_converges_in_one_dimension():
     pr = linearized_probe(dataclasses.replace(gs, meta={}))  # the probe needs no solver meta
     assert pr.eigenvalue < 0.0
     assert pr.iterations <= 10
+
+
+def test_linearized_probe_retries_a_singular_shift(gs105, monkeypatch):
+    # a shift that is an eigenvalue to rounding makes dgtsv report a zero
+    # pivot: the iteration nudges the shift and solves again
+    import critlab.groundstate as G
+    from critlab.grids import dgtsv
+
+    ref = linearized_probe(gs105)
+    calls = []
+
+    def singular_once(dl, d, du, b):
+        calls.append(1)
+        if len(calls) == 1:
+            return dl, d, du, np.zeros_like(b), 1
+        return dgtsv(dl, d, du, b)
+
+    monkeypatch.setattr(G, "dgtsv", singular_once)
+    pr = linearized_probe(gs105)
+    assert pr.iterations == ref.iterations + 1 == len(calls)
+    assert pr.eigenvalue == pytest.approx(ref.eigenvalue, rel=1e-9)
+
+
+def test_linearized_probe_stall_raises(gs105, monkeypatch):
+    import critlab.groundstate as G
+
+    monkeypatch.setattr(G, "_PROBE_TOL", -1.0)  # no change of the quotient is small enough
+    monkeypatch.setattr(G, "_PROBE_MAX_ITERS", 3)
+    with pytest.raises(IterationStall, match="did not converge in 3 iterations"):
+        linearized_probe(gs105)

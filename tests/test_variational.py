@@ -11,6 +11,7 @@ from critlab import (
     GridFunction,
     Interval,
     Ball,
+    NonPositive,
     NotConverged,
     PotentialSpec,
     build_grid,
@@ -53,7 +54,7 @@ def flow_only(init, params, spec, cfg=FlowConfig()):
 
 def defect_sup(system, u, mu):
     """Sup-norm of the stationarity defect at multiplier mu."""
-    return float(np.max(np.abs(system.defect(u, apply_stiffness(system.grid, u)) - mu * u)))
+    return float(np.max(np.abs(system.defect(u, apply_stiffness(system.grid, u), mu))))
 
 
 def eigenfunction(grid):
@@ -167,6 +168,8 @@ def test_multiplier_at_zero_interaction():
 
 
 def test_multiplier_formula_vs_fit(gs105):
+    # the energy identity's multiplier is the W-weighted least-squares fit
+    # of the defect's mu-free part, to rounding
     grid = build_grid(Interval(-8.0, 8.0), 1024)
     spec = PotentialSpec(p0=2.0)
     params = gs105.params.with_a(0.5 * gs105.a_star)
@@ -174,7 +177,11 @@ def test_multiplier_formula_vs_fit(gs105):
         GridFunction(grid, np.exp(-np.abs(grid.interior_nodes) ** 2))
     )
     res = gradient_flow_minimize(init, params, spec, FlowConfig())
-    assert res.mu == pytest.approx(res.mu_fit, abs=1e-6 * (1 + abs(res.mu)))
+    system = _System(grid, params, spec)
+    u = res.u.values
+    d = system.defect(u, apply_stiffness(grid, u), 0.0)
+    mu_ls = _dot(system.W * d, u) / _dot(system.W * u, u)
+    assert res.mu == pytest.approx(mu_ls, rel=1e-12, abs=0.0)
     assert res.residual < 1e-6
 
 
@@ -195,9 +202,8 @@ def test_result_scalars_match_public_functions(gs105):
     nl = hat_masses(grid, -params.b) @ nodal
     assert res.mu == pytest.approx(res.energy - params.a * bs / (1.0 + bs) * nl, rel=1e-12, abs=0.0)
     system = _System(grid, params, spec)
-    mu_fit, defect = system.fit_multiplier(res.u.values, apply_stiffness(grid, res.u.values))
-    assert res.mu_fit == mu_fit
-    assert res.residual == float(np.max(np.abs(defect))) == defect_sup(system, res.u.values, mu_fit)
+    assert res.residual == defect_sup(system, res.u.values, res.mu)
+    assert res.tangent_negatives == _tangent_negative_count(system, res.u.values, res.mu) == 0
 
 
 def _endpoint_case(gs, kind):
@@ -215,16 +221,17 @@ def _endpoint_case(gs, kind):
 
 @pytest.mark.parametrize("kind", ["newton", "flow"])
 def test_residual_sits_at_fitted_multiplier(gs105, kind):
-    # the reported residual is the sup of the defect at mu_fit, and mu_fit
-    # is its W-weighted least-squares multiplier: the defect it leaves is
+    # the reported residual is the sup of the defect at the reported mu,
+    # the energy identity's multiplier, which is also the defect's
+    # W-weighted least-squares multiplier: the defect it leaves is
     # W-orthogonal to u, to within the rounding of the sums that form it
     init, params, spec = _endpoint_case(gs105, kind)
     res = gradient_flow_minimize(init, params, spec)
     assert res.converged and (res.iterations == 0) == (kind == "newton")
     system = _System(init.grid, params, spec)
     u = res.u.values
-    d = system.defect(u, apply_stiffness(init.grid, u))
-    r = d - res.mu_fit * u
+    ku = apply_stiffness(init.grid, u)
+    d, r = system.defect(u, ku, 0.0), system.defect(u, ku, res.mu)
     assert res.residual == float(np.max(np.abs(r)))
     assert abs(_dot(system.W * r, u)) <= 2.0 * u.size * _EPS * float(np.sum(np.abs(system.W * d * u)))
 
@@ -372,6 +379,58 @@ def test_flow_not_converged_carries_partial():
     assert partial is not None and not partial.converged and partial.iterations == 5
 
 
+def _recorded_time_steps(monkeypatch):
+    """The time steps the flow factors its matrix at, in order."""
+    import critlab.variational as V
+
+    dts = []
+    factor = V._System.factor
+    monkeypatch.setattr(V._System, "factor", lambda self, dt: dts.append(dt) or factor(self, dt))
+    return dts
+
+
+def test_flow_halves_dt_on_energy_rise(monkeypatch):
+    # the implicit quadratic part and the explicit concave interaction keep
+    # the energy from rising on these problems, so a negative slack stands in
+    # for a rise: a step that lowers the energy by less than 1e-3 (1 + |E|)
+    # is retried at half the time step, until dt reaches 2 dt_min, where it
+    # is taken
+    import critlab.variational as V
+
+    monkeypatch.setattr(V, "_ENERGY_SLACK", -1e-3)
+    dts = _recorded_time_steps(monkeypatch)
+    grid = build_grid(Interval(-1.0, 1.0), 128)
+    init = GridFunction(grid, np.random.default_rng(5).uniform(0.2, 1.0, grid.n_interior))
+    with pytest.raises(NotConverged) as exc_info:
+        flow_only(init, GNParams(1, 0.5, a=0.0), None, FlowConfig(max_iters=50))
+    assert exc_info.value.partial.iterations == 50
+    assert dts == [V._DT_START * 0.5**k for k in range(len(dts))]
+    assert dts[-1] <= 2.0 * V._DT_MIN < dts[-2]
+
+
+def test_flow_positivity_loss_at_dt_min_raises(gs105, monkeypatch):
+    # a start of width 0.05 at 0.9 a* loses positivity on its first step at
+    # dt = 1e-2; with that as the smallest time step the flow gives up
+    import critlab.variational as V
+
+    monkeypatch.setattr(V, "_DT_MIN", V._DT_START)
+    dts = _recorded_time_steps(monkeypatch)
+    solves = []
+    solve = V._System.solve
+
+    def counted(self, fact, rhs):
+        solves.append(1)
+        assert len(solves) <= 10, "the flow retried at its smallest time step"
+        return solve(self, fact, rhs)
+
+    monkeypatch.setattr(V._System, "solve", counted)
+    grid = build_grid(Interval(-8.0, 8.0), 256)
+    init = GridFunction(grid, np.maximum(np.exp(-((grid.interior_nodes / 0.05) ** 2)), 1e-30))
+    with pytest.raises(NonPositive, match="lost positivity at dt = 0.01"):
+        flow_only(init, gs105.params.with_a(0.9 * gs105.a_star), None)
+    assert dts == [V._DT_START] and len(solves) == 1
+
+
 def test_flow_requires_positive_init():
     grid = build_grid(Interval(-1.0, 1.0), 128)
     vals = np.ones(grid.n_interior)
@@ -423,7 +482,7 @@ def test_limit_profile_start_newton_matches_flow(gs105, a_mult):
     if res.iterations == 0:
         # Newton's endpoint: unit mass and a strict local minimizer
         assert res.newton_steps > 0 and mass(res.u) == pytest.approx(1.0, abs=1e-12)
-        assert _tangent_negative_count(_System(grid, params, spec), res.u.values, res.mu_fit) == 0
+        assert _tangent_negative_count(_System(grid, params, spec), res.u.values, res.mu) == 0
     else:
         # the first full step raised the defect: the flow's own endpoint
         assert np.array_equal(res.u.values, ref.u.values)
@@ -587,7 +646,7 @@ def test_uncertified_newton_endpoint_not_returned(gs105, monkeypatch):
 @pytest.mark.parametrize("kind", ["newton", "flow"])
 def test_stiffness_applied_once_per_iterate(gs105, kind, monkeypatch):
     # each iterate's K u is computed once and passed along to the defect,
-    # the rounding floor, the energy and the fitted multiplier
+    # the rounding floor, the energy and the multiplier
     import critlab.variational as V
 
     init, params, spec = _endpoint_case(gs105, kind)
@@ -656,6 +715,12 @@ def test_probe_requires_supercritical(gs105):
         nonexistence_probe(gs105.params.with_a(0.5 * gs105.a_star), gs105, grid, (5.0, 10.0))
     with pytest.raises(ValueError):
         nonexistence_probe(gs105.params.with_a(2.0 * gs105.a_star), gs105, grid, (10.0, 5.0))
+    with pytest.raises(ValueError, match="nonempty"):
+        nonexistence_probe(gs105.params.with_a(2.0 * gs105.a_star), gs105, grid, ())
+    # a fit needs at least as many taus as columns: two without a potential, three with one
+    assert fit_tau_square_coefficient([5.0, 10.0], [1.0, 4.0]) == pytest.approx(0.04)
+    with pytest.raises(ValueError, match="3 fitted columns need as many taus in tau_list, got 2"):
+        fit_tau_square_coefficient([5.0, 10.0], [1.0, 4.0], p=2.0)
 
 
 def test_threshold_trial_energies_vanish(gs105):
